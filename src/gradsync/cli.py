@@ -15,6 +15,8 @@ from pathlib import Path
 from .engine import (
     ConfigError,
     RunConfig,
+    as_integer,
+    as_number,
     build_wait_chain_scenario,
     config_from_dict,
     run,
@@ -115,13 +117,20 @@ def cmd_run(args) -> int:
 
 
 def _sweep_point(base, base_is_preset: bool, parameter: str, value, variant: str) -> RunConfig:
+    problems: list[str] = []
+    if parameter in ("diameter", "seed"):
+        value = as_integer(value, parameter, problems)
+    else:
+        value = as_number(value, parameter, problems)
+    if problems:
+        raise ConfigError(problems)
     if parameter == "diameter":
         if not (base_is_preset and base.label == "wait_chain"):
             raise ConfigError(
                 ["sweeping diameter requires the wait_chain preset as base"]
             )
         return build_wait_chain_scenario(
-            diameter=int(value),
+            diameter=value,
             drift_bound=base.drift_bound,
             max_gap=base.max_gap,
             skew_threshold=base.skew_threshold,
@@ -130,8 +139,8 @@ def _sweep_point(base, base_is_preset: bool, parameter: str, value, variant: str
             process_on_start=base.process_on_start,
         )
     if parameter == "seed":
-        return replace(base, seed=int(value), variant=variant)
-    return replace(base, **{parameter: float(value)}, variant=variant)
+        return replace(base, seed=value, variant=variant)
+    return replace(base, **{parameter: value}, variant=variant)
 
 
 def cmd_sweep(args) -> int:

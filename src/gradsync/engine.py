@@ -50,6 +50,8 @@ __all__ = [
     "wait_chain_length",
     "config_to_dict",
     "config_from_dict",
+    "as_integer",
+    "as_number",
 ]
 
 SCHEDULE_MODES = ("periodic", "random_uniform", "scripted")
@@ -61,6 +63,15 @@ class ConfigError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+_TOPOLOGY_NEEDS = {
+    "chain": ("n",),
+    "ring": ("n",),
+    "grid": ("rows", "cols"),
+    "random_geometric": ("n", "radius"),
+    "edge_list": ("edges",),
+}
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,9 @@ class TopologySpec:
     edges: tuple[tuple[int, int], ...] | None = None
 
     def build(self, default_seed: int = 0) -> "topo_mod.Topology":
+        missing = [f for f in _TOPOLOGY_NEEDS.get(self.kind, ()) if getattr(self, f) is None]
+        if missing:
+            raise topo_mod.TopologyError(f"{self.kind} topology needs {', '.join(missing)}")
         if self.kind == "chain":
             return topo_mod.chain(self.n)
         if self.kind == "ring":
@@ -206,8 +220,10 @@ def generate_schedule(
         gap_min defaulting to max_gap / 4.
     scripted: explicit per-edge lists, validated against the gap bound.
     """
-    if max_gap <= 0:
-        raise ConfigError([f"max_gap must be positive, got {max_gap}"])
+    if not 0.0 < max_gap < math.inf:
+        raise ConfigError([f"max_gap must be positive and finite, got {max_gap}"])
+    if not math.isfinite(horizon):
+        raise ConfigError([f"horizon must be finite, got {horizon}"])
     sends = {}
     if mode == "periodic":
         times = []
@@ -333,6 +349,18 @@ def validate_config(config: RunConfig) -> list[str]:
 
 def _validate(config: RunConfig):
     v: list[str] = []
+    for name, value in (
+        ("drift_bound", config.drift_bound),
+        ("max_gap", config.max_gap),
+        ("skew_threshold", config.skew_threshold),
+        ("horizon", config.horizon),
+        ("schedule.gap_min", config.gap_min),
+        ("drift.dwell", config.drift_dwell),
+        ("drift.value", config.drift_value),
+        ("topology.radius", config.topology.radius),
+    ):
+        if value is not None and not math.isfinite(value):
+            v.append(f"{name} must be finite, got {value}")
     if not 0.0 <= config.drift_bound < 1.0:
         v.append(f"drift_bound must be in [0, 1), got {config.drift_bound}")
     if config.max_gap <= 0:
@@ -593,20 +621,6 @@ def _topology_to_dict(spec: TopologySpec) -> dict:
     return out
 
 
-def _topology_from_dict(data: dict) -> TopologySpec:
-    edges = data.get("edges")
-    return TopologySpec(
-        kind=data["kind"],
-        n=data.get("n"),
-        rows=data.get("rows"),
-        cols=data.get("cols"),
-        radius=data.get("radius"),
-        seed=data.get("seed"),
-        retries=data.get("retries", 50),
-        edges=tuple(tuple(e) for e in edges) if edges is not None else None,
-    )
-
-
 def config_to_dict(config: RunConfig) -> dict:
     scripted = None
     if config.scripted_sends is not None:
@@ -640,42 +654,145 @@ def config_to_dict(config: RunConfig) -> dict:
     }
 
 
+_CONFIG_FIELDS = (
+    "topology", "drift_bound", "max_gap", "skew_threshold", "diameter_bound", "horizon",
+    "initiators", "drift", "schedule", "variant", "seed", "process_on_start", "label",
+)
+_TOPOLOGY_FIELDS = ("kind", "n", "rows", "cols", "radius", "seed", "retries", "edges")
+_DRIFT_FIELDS = ("mode", "dwell", "value", "signs")
+_SCHEDULE_FIELDS = ("mode", "gap_min", "scripted")
+
+
+def as_integer(value, name: str, problems: list) -> int | None:
+    """value as an int if it is integral (4 or 4.0); else record a problem.
+
+    Booleans and strings are refused rather than reinterpreted.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    problems.append(f"{name} must be an integer, got {value!r}")
+    return None
+
+
+def as_number(value, name: str, problems: list) -> float | None:
+    """value as a float if it is a JSON number; else record a problem."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    problems.append(f"{name} must be a number, got {value!r}")
+    return None
+
+
+def _list_of(read):
+    """Parser of a list whose element k is read by read() as name[k]."""
+
+    def parse(value, name: str, problems: list) -> tuple | None:
+        if not isinstance(value, (list, tuple)):
+            problems.append(f"{name} must be a list, got {value!r}")
+            return None
+        return tuple(read(item, f"{name}[{k}]", problems) for k, item in enumerate(value))
+
+    return parse
+
+
+_integers = _list_of(as_integer)
+_numbers = _list_of(as_number)
+
+
+def _edge(value, name: str, problems: list) -> tuple | None:
+    pair = _integers(value, name, problems)
+    if pair is not None and len(pair) != 2:
+        problems.append(f"{name} must be a pair of node ids, got {value!r}")
+    return pair
+
+
+def _text(value, name: str, problems: list) -> str | None:
+    if isinstance(value, str):
+        return value
+    problems.append(f"{name} must be a string, got {value!r}")
+    return None
+
+
+def _scripted(value, name: str, problems: list) -> dict | None:
+    if not isinstance(value, dict):
+        problems.append(f"{name} must be an object, got {value!r}")
+        return None
+    sends = {}
+    for key, times in value.items():
+        src, sep, dst = str(key).partition("->")
+        if sep and src.isdigit() and dst.isdigit():
+            sends[(int(src), int(dst))] = _numbers(times, f"{name}[{key!r}]", problems)
+        else:
+            problems.append(f"{name} key must read 'src->dst', got {key!r}")
+    return sends
+
+
 def config_from_dict(data: dict) -> RunConfig:
-    """Parse a config document; raises ConfigError naming any bad field."""
-    try:
-        drift = data.get("drift", {})
-        sched = data.get("schedule", {})
-        scripted = sched.get("scripted")
-        scripted_sends = None
-        if scripted is not None:
-            scripted_sends = {}
-            for key, times in scripted.items():
-                src, dst = key.split("->")
-                scripted_sends[(int(src), int(dst))] = tuple(float(t) for t in times)
-        signs = drift.get("signs")
-        return RunConfig(
-            topology=_topology_from_dict(data["topology"]),
-            drift_bound=float(data["drift_bound"]),
-            max_gap=float(data["max_gap"]),
-            skew_threshold=float(data["skew_threshold"]),
-            diameter_bound=(
-                None if data.get("diameter_bound") is None else int(data["diameter_bound"])
-            ),
-            horizon=None if data.get("horizon") is None else float(data["horizon"]),
-            initiators=tuple(int(i) for i in data.get("initiators", [0])),
-            drift_mode=drift.get("mode", "constant"),
-            drift_dwell=float(drift.get("dwell", 1.0)),
-            drift_value=float(drift.get("value", 0.0)),
-            drift_signs=tuple(int(s) for s in signs) if signs is not None else None,
-            schedule_mode=sched.get("mode", "periodic"),
-            gap_min=None if sched.get("gap_min") is None else float(sched["gap_min"]),
-            scripted_sends=scripted_sends,
-            variant=data.get("variant", "gradient"),
-            seed=int(data.get("seed", 0)),
-            process_on_start=bool(data.get("process_on_start", True)),
-            label=data.get("label", ""),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError([f"malformed config: {exc!r}"]) from exc
+    """Parse a config document; raises ConfigError naming every bad field.
+
+    Unknown fields, non-integral counts, non-numeric numbers and
+    non-boolean flags are refused rather than reinterpreted. Value ranges
+    are checked later, by validate_config.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError([f"config must be an object, got {data!r}"])
+    problems: list[str] = []
+    problems.extend(f"unknown field {key!r}" for key in data if key not in _CONFIG_FIELDS)
+    sections = {"": data}
+    for name, known in (
+        ("topology", _TOPOLOGY_FIELDS),
+        ("drift", _DRIFT_FIELDS),
+        ("schedule", _SCHEDULE_FIELDS),
+    ):
+        section = data.get(name, {})
+        if not isinstance(section, dict):
+            problems.append(f"{name} must be an object, got {section!r}")
+            section = {}
+        problems.extend(f"unknown field '{name}.{key}'" for key in section if key not in known)
+        sections[name] = section
+    missing = [k for k in ("topology", "drift_bound", "max_gap", "skew_threshold") if k not in data]
+    if isinstance(data.get("topology"), dict) and "kind" not in data["topology"]:
+        missing.append("topology.kind")
+    problems.extend(f"malformed config: missing required field {k!r}" for k in missing)
+    process_on_start = data.get("process_on_start", True)
+    if not isinstance(process_on_start, bool):
+        problems.append(f"process_on_start must be true or false, got {process_on_start!r}")
+
+    def read(name: str, parse, default=None):
+        section, _, key = name.rpartition(".")
+        value = sections[section].get(key)
+        return default if value is None else parse(value, name, problems)
+
+    config = RunConfig(
+        topology=TopologySpec(
+            kind=read("topology.kind", _text),
+            n=read("topology.n", as_integer),
+            rows=read("topology.rows", as_integer),
+            cols=read("topology.cols", as_integer),
+            radius=read("topology.radius", as_number),
+            seed=read("topology.seed", as_integer),
+            retries=read("topology.retries", as_integer, 50),
+            edges=read("topology.edges", _list_of(_edge)),
+        ),
+        drift_bound=read("drift_bound", as_number),
+        max_gap=read("max_gap", as_number),
+        skew_threshold=read("skew_threshold", as_number),
+        diameter_bound=read("diameter_bound", as_integer),
+        horizon=read("horizon", as_number),
+        initiators=read("initiators", _integers, (0,)),
+        drift_mode=read("drift.mode", _text, "constant"),
+        drift_dwell=read("drift.dwell", as_number, 1.0),
+        drift_value=read("drift.value", as_number, 0.0),
+        drift_signs=read("drift.signs", _integers),
+        schedule_mode=read("schedule.mode", _text, "periodic"),
+        gap_min=read("schedule.gap_min", as_number),
+        scripted_sends=read("schedule.scripted", _scripted),
+        variant=read("variant", _text, "gradient"),
+        seed=read("seed", as_integer, 0),
+        process_on_start=process_on_start,
+        label=read("label", _text, ""),
+    )
+    if problems:
+        raise ConfigError(problems)
+    return config

@@ -74,7 +74,11 @@ class NodeHistory:
 
 @dataclass(frozen=True)
 class Trace:
-    """Full record of one run."""
+    """Full record of one run.
+
+    sample_times is strictly increasing; logical, rates and alphas hold one
+    row per node and one column per sample, NaN before the node started.
+    """
 
     config: "RunConfig"
     topology: "Topology"
@@ -147,12 +151,11 @@ class BoundVerdict:
 class ReducedRateStats:
     """Durations of reduced-rate episodes.
 
-    per_pair maps (node, neighbor) to its raw intervals; per_node merges
-    each node's intervals across neighbors, so durations measure the
-    periods during which the node ran slowed at all.
+    per_node merges each node's (node, neighbor) intervals across
+    neighbors, so durations measure the periods during which the node ran
+    slowed at all.
     """
 
-    per_pair: dict
     per_node: dict
     durations: tuple[float, ...]
     count: int
@@ -179,58 +182,93 @@ class SkewReport:
     warmup: float
 
 
-def _warm_columns(trace: Trace, warmup: float) -> np.ndarray:
-    return np.nonzero(trace.sample_times >= warmup)[0]
+# Samples per column block of the pairwise and global reductions. The
+# pairwise scratch buffer is (n - 1) x _BLOCK floats, small enough to stay
+# in cache at sensor-field sizes (0.6 MB at n = 80) and independent of the
+# number of samples.
+_BLOCK = 1024
+
+
+def _column_blocks(trace: Trace, warmup: float):
+    """(first sample index, view of the logical values) per block of the
+    samples at or after warmup."""
+    total = trace.sample_times.size
+    first = int(np.searchsorted(trace.sample_times, warmup, side="left"))
+    for s0 in range(first, total, _BLOCK):
+        yield s0, trace.logical[:, s0 : min(s0 + _BLOCK, total)]
 
 
 def global_skew(trace: Trace, warmup: float = 0.0) -> GlobalSkew:
     """Largest |L_i - L_j| over all sample times and started pairs.
 
     Skew is measured only at instants when both nodes of the pair have
-    started; before that a node has no logical clock.
+    started; before that a node has no logical clock. Ties go to the
+    earliest sample, and within it to the lowest-numbered extreme nodes.
     """
     best = GlobalSkew(0.0, (0, 0), 0.0)
-    for col in _warm_columns(trace, warmup):
-        values = trace.logical[:, col]
-        live = np.nonzero(~np.isnan(values))[0]
-        if live.size < 2:
-            continue
-        lo = live[np.argmin(values[live])]
-        hi = live[np.argmax(values[live])]
-        spread = float(values[hi] - values[lo])
-        if spread > best.value:
-            pair = (int(lo), int(hi)) if lo < hi else (int(hi), int(lo))
-            best = GlobalSkew(spread, pair, float(trace.sample_times[col]))
+    for s0, values in _column_blocks(trace, warmup):
+        unstarted = np.isnan(values)
+        masked = np.where(unstarted, np.inf, values)
+        lo = masked.argmin(axis=0)
+        masked[unstarted] = -np.inf
+        hi = masked.argmax(axis=0)
+        cols = np.arange(values.shape[1])
+        spread = values[hi, cols] - values[lo, cols]
+        spread[(~unstarted).sum(axis=0) < 2] = -np.inf
+        k = int(spread.argmax())
+        if spread[k] > best.value:
+            a, b = int(lo[k]), int(hi[k])
+            best = GlobalSkew(
+                float(spread[k]), (min(a, b), max(a, b)), float(trace.sample_times[s0 + k])
+            )
     return best
 
 
 def _max_skew_matrix(trace: Trace, warmup: float) -> np.ndarray:
-    """Per-pair max |L_i - L_j| over warm samples; -inf where never measured."""
-    cols = _warm_columns(trace, warmup)
+    """Per-pair max |L_i - L_j| over warm samples; -inf where never measured.
+
+    Each unordered pair is computed once, in the upper triangle, and
+    mirrored; NaN marks a sample where either node had not started. The
+    diagonal is left at -inf.
+    """
     n = trace.node_count
-    out = np.full((n, n), -np.inf)
-    if cols.size == 0:
-        return out
-    values = trace.logical[:, cols]
-    chunk = max(1, 2_000_000 // max(1, n * n))
-    for s0 in range(0, values.shape[1], chunk):
-        block = values[:, s0 : s0 + chunk]
-        diff = np.abs(block[:, None, :] - block[None, :, :])
-        diff = np.where(np.isnan(diff), -np.inf, diff)
-        np.maximum(out, diff.max(axis=2), out=out)
+    out = np.full((n, n), np.nan)
+    scratch = np.empty((n - 1, _BLOCK))
+    for _, values in _column_blocks(trace, warmup):
+        width = values.shape[1]
+        for i in range(n - 1):
+            diff = scratch[: n - 1 - i, :width]
+            np.subtract(values[i], values[i + 1 :], out=diff)
+            np.abs(diff, out=diff)
+            row = out[i, i + 1 :]
+            np.fmax(row, np.fmax.reduce(diff, axis=1), out=row)
+    out[np.isnan(out)] = -np.inf
+    lower = np.tril_indices(n, -1)
+    out[lower] = out.T[lower]
     return out
+
+
+def _edge_skews(matrix: np.ndarray, topology: "Topology") -> dict:
+    return {
+        (i, j): float(matrix[i, j]) if np.isfinite(matrix[i, j]) else 0.0
+        for i, j in topology.undirected_edges()
+    }
+
+
+def _profile(matrix: np.ndarray, topology: "Topology") -> dict:
+    profile = {}
+    for k in range(1, topology.diameter + 1):
+        values = matrix[topology.distances == k]
+        finite = values[np.isfinite(values)]
+        profile[k] = float(finite.max()) if finite.size else 0.0
+    return profile
 
 
 def per_edge_max_skew(
     trace: Trace, topology: "Topology | None" = None, warmup: float = 0.0
 ) -> dict:
     topo = topology if topology is not None else trace.topology
-    matrix = _max_skew_matrix(trace, warmup)
-    out = {}
-    for i, j in topo.undirected_edges():
-        value = matrix[i, j]
-        out[(i, j)] = float(value) if np.isfinite(value) else 0.0
-    return out
+    return _edge_skews(_max_skew_matrix(trace, warmup), topo)
 
 
 def gradient_profile(
@@ -238,13 +276,7 @@ def gradient_profile(
 ) -> dict:
     """Max observed skew per hop distance k = 1..diameter."""
     topo = topology if topology is not None else trace.topology
-    matrix = _max_skew_matrix(trace, warmup)
-    profile = {}
-    for k in range(1, topo.diameter + 1):
-        values = matrix[topo.distances == k]
-        finite = values[np.isfinite(values)]
-        profile[k] = float(finite.max()) if finite.size else 0.0
-    return profile
+    return _profile(_max_skew_matrix(trace, warmup), topo)
 
 
 def rate_floor(trace: Trace) -> float:
@@ -271,7 +303,6 @@ def reduced_rate_stats(trace: Trace) -> ReducedRateStats:
         per_node[node] = tuple(merged)
         durations.extend(hi - lo for lo, hi in merged)
     return ReducedRateStats(
-        per_pair=dict(sorted(trace.reduced_intervals.items())),
         per_node=per_node,
         durations=tuple(durations),
         count=len(durations),
@@ -320,12 +351,13 @@ def bound_checks(report: SkewReport, config: "RunConfig") -> tuple[BoundVerdict,
 def compute_report(trace: Trace, warmup: float = 0.0) -> SkewReport:
     """Assemble the full SkewReport for a trace, verdicts included."""
     top = global_skew(trace, warmup)
+    matrix = _max_skew_matrix(trace, warmup)
     report = SkewReport(
         max_global_skew=top.value,
         attaining_pair=top.pair,
         attaining_time=top.time,
-        per_edge_max_skew=per_edge_max_skew(trace, warmup=warmup),
-        gradient_profile=gradient_profile(trace, warmup=warmup),
+        per_edge_max_skew=_edge_skews(matrix, trace.topology),
+        gradient_profile=_profile(matrix, trace.topology),
         min_rate=rate_floor(trace),
         reduced_rate_durations=reduced_rate_stats(trace).durations,
         bound_verdicts=(),

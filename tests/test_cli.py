@@ -5,8 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gradsync.cli import main
 from gradsync.engine import build_wait_chain_scenario, config_to_dict
+from gradsync.presets import preset
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -110,6 +113,121 @@ class TestRun:
         assert (first / "summary.json").read_bytes() == (
             second / "summary.json"
         ).read_bytes()
+
+
+def field_doc(path: str, value) -> dict:
+    """The random_geometric preset as a document, with one field replaced."""
+    doc = config_to_dict(preset("random_geometric"))
+    *parents, leaf = path.split(".")
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[leaf] = value
+    return doc
+
+
+def write_doc(tmp_path: Path, doc: dict) -> str:
+    # json.dumps writes Infinity and NaN, which json.load accepts back
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestInputBoundary:
+    """Every input runs or is refused with exit 2 and a named violation."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "drift_bound",
+            "max_gap",
+            "skew_threshold",
+            "horizon",
+            "schedule.gap_min",
+            "drift.dwell",
+            "drift.value",
+            "topology.radius",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_number_refused(self, tmp_path, capsys, path, value):
+        config = write_doc(tmp_path, field_doc(path, value))
+        assert main(["validate", "--config", config]) == 2
+        assert f"{path} must be finite" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "path,value", [("max_gap", float("inf")), ("skew_threshold", float("nan"))]
+    )
+    def test_run_refuses_non_finite(self, tmp_path, capsys, path, value):
+        doc = config_to_dict(build_wait_chain_scenario(4, 0.1, 1.0, 1.0))
+        doc["horizon"] = None  # the default horizon scales with max_gap
+        doc[path] = value
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+        assert f"{path} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("topology.n", 5.5),
+            ("topology.seed", 7.5),
+            ("topology.retries", 2.5),
+            ("topology.n", "50"),
+            ("topology.n", True),
+            ("seed", 1.5),
+            ("diameter_bound", 4.7),
+            ("initiators", [0.5]),
+        ],
+    )
+    def test_non_integral_count_refused(self, tmp_path, capsys, path, value):
+        config = write_doc(tmp_path, field_doc(path, value))
+        assert main(["validate", "--config", config]) == 2
+        out = capsys.readouterr().out
+        assert path in out and "must be an integer" in out
+
+    def test_non_integral_grid_and_signs_refused(self, tmp_path, capsys):
+        doc = config_to_dict(build_wait_chain_scenario(4, 0.1, 1.0, 1.0))
+        doc["topology"] = {"kind": "grid", "rows": 2.5, "cols": 3.0}
+        doc["drift"]["signs"] = [1, -1, 1, -1, 0.5]
+        assert main(["validate", "--config", write_doc(tmp_path, doc)]) == 2
+        out = capsys.readouterr().out
+        assert "topology.rows must be an integer" in out
+        assert "drift.signs[4] must be an integer" in out
+        assert "topology.cols" not in out  # 3.0 is integral
+
+    @pytest.mark.parametrize(
+        "path", ["drift_bund", "topology.radus", "drift.dwel", "schedule.gapmin"]
+    )
+    def test_unknown_key_refused(self, tmp_path, capsys, path):
+        config = write_doc(tmp_path, field_doc(path, 0.5))
+        assert main(["validate", "--config", config]) == 2
+        assert f"unknown field {path!r}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_non_boolean_process_on_start_refused(self, tmp_path, capsys, value):
+        config = write_doc(tmp_path, field_doc("process_on_start", value))
+        assert main(["validate", "--config", config]) == 2
+        assert "process_on_start must be true or false" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"topology": [], "drift_bound": 0.1}])
+    def test_non_object_refused(self, tmp_path, capsys, doc):
+        assert main(["validate", "--config", write_doc(tmp_path, doc)]) == 2
+        assert "must be an object" in capsys.readouterr().out
+
+    def test_missing_topology_size_refused(self, tmp_path, capsys):
+        config = write_doc(tmp_path, field_doc("topology", {"kind": "chain"}))
+        assert main(["validate", "--config", config]) == 2
+        assert "chain topology needs n" in capsys.readouterr().out
+
+    def test_non_integral_sweep_value_refused(self, tmp_path, capsys):
+        spec = {"base": {"preset": "wait_chain"}, "parameter": "diameter", "values": [4.5]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        assert "diameter must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminismAcrossProcesses:

@@ -1,3 +1,5 @@
+import json
+import math
 from collections import defaultdict
 from dataclasses import replace
 
@@ -17,7 +19,7 @@ from gradsync.engine import (
     wait_chain_length,
 )
 from gradsync.metrics import trace_csv_text
-from gradsync.presets import preset
+from gradsync.presets import PRESETS, preset
 from gradsync.topology import chain, ring
 
 
@@ -260,3 +262,72 @@ class TestConfigRoundTrip:
     def test_malformed_config_named(self):
         with pytest.raises(ConfigError, match="malformed config"):
             config_from_dict({"topology": {"kind": "chain", "n": 5}})
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_round_trip_through_json(self, name):
+        cfg = preset(name)
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TopologySpec(kind="grid", rows=3, cols=4),
+            TopologySpec(kind="edge_list", edges=((0, 1), (1, 2), (2, 0))),
+        ],
+    )
+    def test_other_topology_kinds_round_trip(self, spec):
+        cfg = RunConfig(topology=spec, drift_bound=0.1, max_gap=1.0, skew_threshold=1.0)
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    def test_partial_document_takes_defaults(self):
+        doc = {
+            "topology": {"kind": "random_geometric", "n": 12, "radius": 0.5, "seed": 11},
+            "drift_bound": 0.1,
+            "max_gap": 1,
+            "skew_threshold": 1.0,
+            "drift": {"mode": "piecewise_random", "dwell": 1.0},
+            "schedule": {"mode": "random_uniform"},
+            "seed": 4,
+            "label": "random_field",
+        }
+        cfg = config_from_dict(doc)
+        assert cfg.max_gap == 1.0 and isinstance(cfg.max_gap, float)
+        assert (cfg.initiators, cfg.process_on_start, cfg.variant) == ((0,), True, "gradient")
+        assert validate_config(cfg) == []
+
+    def test_every_problem_named_at_once(self):
+        doc = config_to_dict(preset("wait_chain"))
+        doc.update(drift_bund=0.5, seed="3", process_on_start="false", diameter_bound=4.7)
+        doc["topology"]["n"] = 5.5
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert len(info.value.violations) == 5
+        for name in ("'drift_bund'", "seed", "process_on_start", "diameter_bound", "topology.n"):
+            assert any(name in line for line in info.value.violations)
+
+
+class TestInputBoundary:
+    def test_non_finite_fields_all_named(self):
+        cfg = replace(
+            preset("random_geometric"),
+            max_gap=math.inf,
+            skew_threshold=math.nan,
+            horizon=math.inf,
+            drift_dwell=-math.inf,
+        )
+        problems = validate_config(cfg)
+        for name in ("max_gap", "skew_threshold", "horizon", "drift.dwell"):
+            assert f"{name} must be finite" in "\n".join(problems)
+        with pytest.raises(ConfigError):
+            run(cfg)
+
+    @pytest.mark.parametrize(
+        "max_gap,horizon", [(math.inf, 10.0), (math.nan, 10.0), (1.0, math.inf)]
+    )
+    def test_schedule_refuses_non_finite(self, max_gap, horizon):
+        with pytest.raises(ConfigError, match="finite"):
+            generate_schedule(chain(3), max_gap, "periodic", 0, horizon)
+
+    def test_missing_topology_size_named(self):
+        cfg = RunConfig(TopologySpec(kind="grid", rows=3), 0.1, 1.0, 1.0)
+        assert validate_config(cfg) == ["grid topology needs cols"]

@@ -11,7 +11,9 @@ from gradsync.engine import (
     config_from_dict,
     run,
 )
+from gradsync import metrics
 from gradsync.metrics import (
+    GlobalSkew,
     SkewReport,
     bound_checks,
     compute_report,
@@ -23,7 +25,7 @@ from gradsync.metrics import (
     summary_json_text,
     trace_csv_text,
 )
-from gradsync.presets import preset
+from gradsync.presets import PRESETS, preset
 
 
 def symmetric_run():
@@ -232,3 +234,117 @@ class TestSerialization:
         names = [v["name"] for v in doc["report"]["verdicts"]]
         assert names == ["global_skew", "neighbor_skew"]
         assert doc["start_times"] == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+# Reference report kernel: the per-column loop and the chunked all-pairs
+# matrix that the blocked reductions in gradsync.metrics replaced. The
+# blocked code performs the same float operations per element, so every
+# report field must match exactly.
+
+
+def reference_global_skew(trace, warmup=0.0):
+    best = GlobalSkew(0.0, (0, 0), 0.0)
+    for col in np.nonzero(trace.sample_times >= warmup)[0]:
+        values = trace.logical[:, col]
+        live = np.nonzero(~np.isnan(values))[0]
+        if live.size < 2:
+            continue
+        lo = live[np.argmin(values[live])]
+        hi = live[np.argmax(values[live])]
+        spread = float(values[hi] - values[lo])
+        if spread > best.value:
+            pair = (int(lo), int(hi)) if lo < hi else (int(hi), int(lo))
+            best = GlobalSkew(spread, pair, float(trace.sample_times[col]))
+    return best
+
+
+def reference_max_skew_matrix(trace, warmup=0.0):
+    cols = np.nonzero(trace.sample_times >= warmup)[0]
+    n = trace.node_count
+    out = np.full((n, n), -np.inf)
+    if cols.size == 0:
+        return out
+    values = trace.logical[:, cols]
+    chunk = max(1, 2_000_000 // max(1, n * n))
+    for s0 in range(0, values.shape[1], chunk):
+        block = values[:, s0 : s0 + chunk]
+        diff = np.abs(block[:, None, :] - block[None, :, :])
+        diff = np.where(np.isnan(diff), -np.inf, diff)
+        np.maximum(out, diff.max(axis=2), out=out)
+    return out
+
+
+def reference_report(trace, warmup=0.0):
+    report = compute_report(trace, warmup)
+    top = reference_global_skew(trace, warmup)
+    matrix = reference_max_skew_matrix(trace, warmup)
+    topo = trace.topology
+    per_edge = {
+        (i, j): float(matrix[i, j]) if np.isfinite(matrix[i, j]) else 0.0
+        for i, j in topo.undirected_edges()
+    }
+    profile = {}
+    for k in range(1, topo.diameter + 1):
+        values = matrix[topo.distances == k]
+        finite = values[np.isfinite(values)]
+        profile[k] = float(finite.max()) if finite.size else 0.0
+    expected = replace(
+        report,
+        max_global_skew=top.value,
+        attaining_pair=top.pair,
+        attaining_time=top.time,
+        per_edge_max_skew=per_edge,
+        gradient_profile=profile,
+    )
+    return replace(expected, bound_verdicts=bound_checks(expected, trace.config))
+
+
+def assert_report_matches_reference(trace, warmup=0.0):
+    report = compute_report(trace, warmup)
+    assert report == reference_report(trace, warmup)
+    assert per_edge_max_skew(trace, warmup=warmup) == report.per_edge_max_skew
+    assert gradient_profile(trace, warmup=warmup) == report.gradient_profile
+
+
+class TestReportMatchesReference:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets(self, name):
+        assert_report_matches_reference(run(preset(name)))
+
+    @pytest.mark.parametrize("variant", ["gradient", "no_slowdown", "large_c"])
+    def test_wait_chain_d16(self, variant):
+        assert_report_matches_reference(
+            run(build_wait_chain_scenario(16, 0.1, 1.0, 1.0, variant=variant))
+        )
+
+    def test_warmup(self):
+        trace = run(preset("wait_chain"))
+        for warmup in (0.5, trace.horizon * 0.4, trace.horizon, trace.horizon + 1.0):
+            assert_report_matches_reference(trace, warmup)
+
+    def test_more_samples_than_one_block(self):
+        trace = run(replace(preset("random_geometric"), seed=3))
+        assert trace.sample_times.size > 3 * metrics._BLOCK
+        # a warm-up that starts the first block off a block boundary
+        assert_report_matches_reference(trace, float(trace.sample_times[metrics._BLOCK + 7]))
+
+    @pytest.mark.parametrize("block", [1, 4, 7])
+    def test_unstarted_cells_and_ties_across_blocks(self, monkeypatch, block):
+        # small integer values make equal spreads and equal extremes common,
+        # so tie-breaking is checked within a column and across blocks
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+        base = symmetric_run()
+        rng = np.random.default_rng(5)
+        samples = 40
+        logical = rng.integers(0, 4, size=(base.node_count, samples)).astype(float)
+        logical[rng.random(logical.shape) < 0.3] = np.nan
+        logical[:, :6] = np.nan  # nobody has started
+        logical[2, 3:6] = 1.0  # a single started node has no pair to measure
+        logical[5] = np.nan  # never starts: its edges report 0.0
+        # the first warm column at warmup 11.0 is empty, and the one after it
+        # attains the largest spread
+        logical[:, 22] = np.nan
+        logical[0:2, 23] = (0.0, 3.0)
+        trace = replace(base, logical=logical, sample_times=np.arange(samples) * 0.5)
+        for warmup in (0.0, 3.25, 11.0):
+            assert_report_matches_reference(trace, warmup)
