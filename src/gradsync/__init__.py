@@ -13,11 +13,13 @@ from .engine import (
     ConfigError,
     Event,
     RunConfig,
+    Setup,
     TopologySpec,
     build_wait_chain_scenario,
     config_from_dict,
     config_to_dict,
     generate_schedule,
+    resolve,
     run,
     validate_config,
     wait_chain_length,
@@ -57,7 +59,6 @@ from .topology import (
     Topology,
     TopologyError,
     all_pairs_distances,
-    build_topology,
     chain,
     from_edges,
     grid,

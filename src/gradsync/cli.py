@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from .engine import (
     as_number,
     build_wait_chain_scenario,
     config_from_dict,
+    resolve,
     run,
     validate_config,
 )
@@ -29,6 +31,7 @@ from .presets import PRESETS, preset
 __all__ = ["main"]
 
 SWEEPABLE = ("diameter", "skew_threshold", "drift_bound", "max_gap", "seed")
+_SWEEP_FIELDS = ("schema", "base", "parameter", "values", "variants")
 
 
 def _load_json(path: str) -> dict:
@@ -84,19 +87,30 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
+def _inject_skew(trace, text: str):
+    """The trace with DELTA added to every recorded value of NODE."""
+    node, _, delta = text.partition(":")
     try:
-        config = _load_config(args)
-        trace = run(config)
-    except ConfigError as exc:
-        for line in exc.violations:
-            print(f"violation: {line}", file=sys.stderr)
-        return 2
+        node, delta = int(node), float(delta)
+    except ValueError:
+        raise ConfigError([f"--inject-skew must read NODE:DELTA, got {text!r}"]) from None
+    problems = []
+    if not 0 <= node < trace.node_count:
+        problems.append(f"--inject-skew node {node} is not in 0..{trace.node_count - 1}")
+    if not math.isfinite(delta):
+        problems.append(f"--inject-skew delta must be finite, got {delta}")
+    if problems:
+        raise ConfigError(problems)
+    logical = trace.logical.copy()
+    logical[node, :] += delta
+    return replace(trace, logical=logical)
+
+
+def cmd_run(args) -> int:
+    config = _load_config(args)
+    trace = run(config)
     if args.inject_skew:
-        node, delta = args.inject_skew.split(":")
-        logical = trace.logical.copy()
-        logical[int(node), :] += float(delta)
-        trace = replace(trace, logical=logical)
+        trace = _inject_skew(trace, args.inject_skew)
     report = compute_report(trace, warmup=args.warmup)
     out = Path(args.out)
     _write(out / "trace.csv", trace_csv_text(trace))
@@ -143,45 +157,59 @@ def _sweep_point(base, base_is_preset: bool, parameter: str, value, variant: str
     return replace(base, **{parameter: value}, variant=variant)
 
 
-def cmd_sweep(args) -> int:
-    try:
-        spec = _load_json(args.sweep)
-        parameter = spec.get("parameter")
-        if parameter not in SWEEPABLE:
-            raise ConfigError(
-                [f"parameter must be one of {', '.join(SWEEPABLE)}, got {parameter!r}"]
-            )
-        values = spec.get("values")
-        if not values:
-            raise ConfigError(["values must be a nonempty list"])
-        base_doc = spec.get("base")
-        if not isinstance(base_doc, dict):
-            raise ConfigError(["base must be a config object or {'preset': name}"])
-        base_is_preset = "preset" in base_doc
-        if base_is_preset:
-            base = preset(base_doc["preset"]) if base_doc["preset"] in PRESETS else None
-            if base is None:
-                raise ConfigError([f"unknown preset {base_doc['preset']!r}"])
+def _read_sweep(spec):
+    """(parameter, base config, whether the base is a preset, values,
+    variants) of a sweep spec; raises ConfigError naming every problem."""
+    if not isinstance(spec, dict):
+        raise ConfigError([f"sweep spec must be an object, got {spec!r}"])
+    problems = [f"unknown sweep field {key!r}" for key in spec if key not in _SWEEP_FIELDS]
+    parameter = spec.get("parameter")
+    if parameter not in SWEEPABLE:
+        problems.append(f"parameter must be one of {', '.join(SWEEPABLE)}, got {parameter!r}")
+    values = spec.get("values")
+    if not isinstance(values, list) or not values:
+        problems.append(f"values must be a nonempty list, got {values!r}")
+    variants = spec.get("variants")
+    if variants is not None and not (
+        isinstance(variants, list) and variants and all(isinstance(v, str) for v in variants)
+    ):
+        problems.append(f"variants must be a nonempty list of names, got {variants!r}")
+    base_doc = spec.get("base")
+    base_is_preset = isinstance(base_doc, dict) and "preset" in base_doc
+    base = None
+    if not isinstance(base_doc, dict):
+        problems.append("base must be a config object or {'preset': name}")
+    elif base_is_preset:
+        name = base_doc["preset"]
+        problems.extend(f"unknown field 'base.{key}'" for key in base_doc if key != "preset")
+        if not isinstance(name, str):
+            problems.append(f"base.preset must be a string, got {name!r}")
+        elif name not in PRESETS:
+            problems.append(f"unknown preset {name!r}")
         else:
+            base = preset(name)
+    else:
+        try:
             base = config_from_dict(base_doc)
-        variants = spec.get("variants") or [base.variant]
-        points = []
-        for value in values:
-            for variant in variants:
-                cfg = _sweep_point(base, base_is_preset, parameter, value, variant)
-                problems = validate_config(cfg)
-                if problems:
-                    raise ConfigError(
-                        [f"point {parameter}={value} variant={variant}: {p}" for p in problems]
-                    )
-                points.append((value, variant, cfg))
-    except ConfigError as exc:
-        for line in exc.violations:
-            print(f"violation: {line}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"violation: malformed sweep spec, missing {exc}", file=sys.stderr)
-        return 2
+        except ConfigError as exc:
+            problems.extend(f"base: {line}" for line in exc.violations)
+    if problems:
+        raise ConfigError(problems)
+    return parameter, base, base_is_preset, values, variants or [base.variant]
+
+
+def cmd_sweep(args) -> int:
+    parameter, base, base_is_preset, values, variants = _read_sweep(_load_json(args.sweep))
+    points = []
+    for value in values:
+        for variant in variants:
+            cfg = _sweep_point(base, base_is_preset, parameter, value, variant)
+            problems = validate_config(cfg)
+            if problems:
+                raise ConfigError(
+                    [f"point {parameter}={value} variant={variant}: {p}" for p in problems]
+                )
+            points.append((value, variant, cfg))
 
     out = Path(args.out)
     rows = ["parameter,value,variant,max_global_skew,neighbor_max_skew,min_rate,reduced_periods"]
@@ -211,23 +239,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    try:
-        config = _load_config(args)
-        problems = validate_config(config)
-        if problems:
-            raise ConfigError(problems)
-        node_count = config.topology.build(default_seed=config.seed).node_count
-        if node_count > args.cap:
-            raise ConfigError(
-                [
-                    f"{node_count} nodes exceeds the oracle cap {args.cap}; "
-                    "the reference simulator is for desk-scale instances"
-                ]
-            )
-    except ConfigError as exc:
-        for line in exc.violations:
-            print(f"violation: {line}", file=sys.stderr)
-        return 2
+    config = _load_config(args)
+    node_count = resolve(config).topology.node_count
+    if node_count > args.cap:
+        raise ConfigError(
+            [
+                f"{node_count} nodes exceeds the oracle cap {args.cap}; "
+                "the reference simulator is for desk-scale instances"
+            ]
+        )
     trace = run(config)
     reference = oracle_run(config, args.dt)
     outcome = compare(trace, reference, args.tol)
@@ -281,7 +301,12 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        for line in exc.violations:
+            print(f"violation: {line}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import topology as topo_mod
 from .clocks import DRIFT_MODES, HardwareClock, make_drift_schedule
-from .metrics import NodeHistory, Trace, TraceEvent
+from .metrics import NodeHistory, Trace, TraceEvent, sample_history
 from .protocol import (
     VARIANTS,
     ProtocolParams,
@@ -39,12 +39,15 @@ from .protocol import (
 __all__ = [
     "TopologySpec",
     "RunConfig",
+    "Setup",
     "CommSchedule",
     "Event",
     "ConfigError",
     "SCHEDULE_MODES",
     "generate_schedule",
     "validate_config",
+    "resolve",
+    "sample_grid",
     "run",
     "build_wait_chain_scenario",
     "wait_chain_length",
@@ -341,13 +344,15 @@ def validate_config(config: RunConfig) -> list[str]:
     """Check every configuration invariant; returns all violations found.
 
     An empty list means the config is runnable. Validation is the product
-    here: every violation names the offending value.
+    here: every violation names the offending value. It builds the topology
+    but no clocks, and a schedule only in scripted mode.
     """
-    violations, _ = _validate(config)
+    violations, _, _ = _validate(config)
     return violations
 
 
 def _validate(config: RunConfig):
+    """Violations, and the topology and horizon where the topology builds."""
     v: list[str] = []
     for name, value in (
         ("drift_bound", config.drift_bound),
@@ -394,13 +399,16 @@ def _validate(config: RunConfig):
             f"with max_gap {config.max_gap}"
         )
 
-    topology = None
+    topology = horizon = None
     try:
         topology = config.topology.build(default_seed=config.seed)
     except topo_mod.TopologyError as exc:
         v.append(str(exc))
     if topology is not None:
         n = topology.node_count
+        horizon = config.horizon
+        if horizon is None:
+            horizon = 4.0 * topology.diameter * config.max_gap
         if not config.initiators:
             v.append("initiators must be nonempty")
         else:
@@ -425,7 +433,6 @@ def _validate(config: RunConfig):
             if config.scripted_sends is None:
                 v.append("scripted schedule mode needs scripted_sends")
             else:
-                horizon = _resolved_horizon(config, topology)
                 try:
                     generate_schedule(
                         topology,
@@ -437,37 +444,80 @@ def _validate(config: RunConfig):
                     )
                 except ConfigError as exc:
                     v.extend(exc.violations)
-    return v, topology
+    return v, topology, horizon
 
 
-def _resolved_horizon(config: RunConfig, topology) -> float:
-    if config.horizon is not None:
-        return config.horizon
-    return 4.0 * topology.diameter * config.max_gap
+def _drift_schedule(config: RunConfig, node: int, horizon: float):
+    if config.drift_mode == "constant":
+        return make_drift_schedule(
+            "constant", config.drift_bound, horizon=horizon, value=config.drift_value
+        )
+    if config.drift_mode == "adversarial_extreme":
+        sign = config.drift_signs[node] if config.drift_signs is not None else 1
+        return make_drift_schedule(
+            "adversarial_extreme", config.drift_bound, horizon=horizon, sign=sign
+        )
+    return make_drift_schedule(
+        "piecewise_random",
+        config.drift_bound,
+        horizon=horizon,
+        dwell=config.drift_dwell,
+        seed=(config.seed, 0xD1F7, node),
+    )
 
 
-def _make_clocks(config: RunConfig, n: int, horizon: float) -> tuple[HardwareClock, ...]:
-    clocks = []
-    for i in range(n):
-        if config.drift_mode == "constant":
-            sched = make_drift_schedule(
-                "constant", config.drift_bound, horizon=horizon, value=config.drift_value
-            )
-        elif config.drift_mode == "adversarial_extreme":
-            sign = config.drift_signs[i] if config.drift_signs is not None else 1
-            sched = make_drift_schedule(
-                "adversarial_extreme", config.drift_bound, horizon=horizon, sign=sign
-            )
-        else:
-            sched = make_drift_schedule(
-                "piecewise_random",
-                config.drift_bound,
-                horizon=horizon,
-                dwell=config.drift_dwell,
-                seed=(config.seed, 0xD1F7, i),
-            )
-        clocks.append(HardwareClock(sched))
-    return tuple(clocks)
+@dataclass(frozen=True)
+class Setup:
+    """A validated config resolved into what every simulator of it consumes:
+    defaults filled in, the variant's effective threshold in params, and the
+    drift and send realizations."""
+
+    topology: "topo_mod.Topology"
+    diameter_bound: int
+    horizon: float
+    params: ProtocolParams
+    clocks: tuple[HardwareClock, ...]
+    schedule: CommSchedule
+
+
+def resolve(config: RunConfig) -> Setup:
+    """Validate and resolve a config; raises ConfigError listing every violation."""
+    violations, topology, horizon = _validate(config)
+    if violations:
+        raise ConfigError(violations)
+    bound = config.diameter_bound if config.diameter_bound is not None else topology.diameter
+    return Setup(
+        topology=topology,
+        diameter_bound=bound,
+        horizon=horizon,
+        params=ProtocolParams.for_variant(
+            config.skew_threshold, bound, config.variant, config.drift_bound
+        ),
+        clocks=tuple(
+            HardwareClock(_drift_schedule(config, i, horizon))
+            for i in range(topology.node_count)
+        ),
+        schedule=generate_schedule(
+            topology,
+            config.max_gap,
+            config.schedule_mode,
+            config.seed,
+            horizon,
+            gap_min=config.gap_min,
+            scripted=config.scripted_sends,
+        ),
+    )
+
+
+def sample_grid(event_times, clocks, horizon: float) -> np.ndarray:
+    """Sorted sample times: run start, every event time, every drift
+    breakpoint inside the run, and the horizon. Between two consecutive
+    samples every logical clock is linear in real time."""
+    sample_set = {0.0, horizon}
+    sample_set.update(event_times)
+    for clock in clocks:
+        sample_set.update(b for b in clock.schedule.breakpoints if 0.0 < b < horizon)
+    return np.array(sorted(sample_set))
 
 
 def run(config: RunConfig) -> Trace:
@@ -478,27 +528,9 @@ def run(config: RunConfig) -> Trace:
     payload to reach it; if i has not started, the application message
     carries nothing and j is unaffected. Initiators start at t = 0.
     """
-    violations, topology = _validate(config)
-    if violations:
-        raise ConfigError(violations)
+    setup = resolve(config)
+    topology, horizon, params, clocks = setup.topology, setup.horizon, setup.params, setup.clocks
     n = topology.node_count
-    diameter_bound = (
-        config.diameter_bound if config.diameter_bound is not None else topology.diameter
-    )
-    horizon = _resolved_horizon(config, topology)
-    params = ProtocolParams.for_variant(
-        config.skew_threshold, diameter_bound, config.variant, config.drift_bound
-    )
-    clocks = _make_clocks(config, n, horizon)
-    schedule = generate_schedule(
-        topology,
-        config.max_gap,
-        config.schedule_mode,
-        config.seed,
-        horizon,
-        gap_min=config.gap_min,
-        scripted=config.scripted_sends,
-    )
 
     states = [fresh_state(i, topology.neighbors(i)) for i in range(n)]
     start_times = np.full(n, np.inf)
@@ -515,11 +547,11 @@ def run(config: RunConfig) -> Trace:
         hist_factors[node].append(rate_factor(states[node]))
 
     for i in sorted(config.initiators):
-        states[i] = on_start(states[i], 0.0, "initiator")
+        states[i] = on_start(states[i], 0.0)
         start_times[i] = 0.0
         record(i, 0.0)
 
-    for ev in schedule.events():
+    for ev in setup.schedule.events():
         h_src = clocks[ev.src].hardware_time(ev.time)
         payload = emit_payload(states[ev.src], h_src)
         if payload is None:
@@ -530,7 +562,7 @@ def run(config: RunConfig) -> Trace:
         h_dst = clocks[ev.dst].hardware_time(ev.time)
         started_now = False
         if not states[ev.dst].started:
-            states[ev.dst] = on_start(states[ev.dst], h_dst, "first_message")
+            states[ev.dst] = on_start(states[ev.dst], h_dst)
             start_times[ev.dst] = ev.time
             started_now = True
             record(ev.dst, ev.time)
@@ -563,37 +595,21 @@ def run(config: RunConfig) -> Trace:
     for key, opened in sorted(reduced_open.items()):
         reduced_done.setdefault(key, []).append((opened, horizon))
 
-    sample_set = {0.0, horizon}
-    sample_set.update(ev.send_time for ev in event_log)
-    for clock in clocks:
-        sample_set.update(b for b in clock.schedule.breakpoints if 0.0 < b < horizon)
-    grid = np.array(sorted(sample_set))
-
-    S = grid.size
-    logical = np.full((n, S), np.nan)
-    rates = np.full((n, S), np.nan)
-    alphas = np.full((n, S), np.nan)
-    history = []
-    for i in range(n):
-        ht = np.array(hist_times[i])
-        hv = np.array(hist_values[i])
-        hf = np.array(hist_factors[i])
-        history.append(NodeHistory(times=ht, values=hv, factors=hf))
-        if ht.size == 0:
-            continue
-        idx = np.searchsorted(ht, grid, side="right") - 1
-        mask = idx >= 0
-        h_grid = clocks[i].hardware_time(grid[mask])
-        h_base = clocks[i].hardware_time(ht[idx[mask]])
-        logical[i, mask] = hv[idx[mask]] + hf[idx[mask]] * (h_grid - h_base)
-        alphas[i, mask] = hf[idx[mask]]
-        rates[i, mask] = alphas[i, mask] * clocks[i].rate_at(grid[mask], side="right")
+    grid = sample_grid((ev.send_time for ev in event_log), clocks, horizon)
+    history = tuple(
+        NodeHistory(times=np.array(ht), values=np.array(hv), factors=np.array(hf))
+        for ht, hv, hf in zip(hist_times, hist_values, hist_factors)
+    )
+    logical, alphas = sample_history(history, clocks, grid)
+    rates = np.empty_like(alphas)
+    for i, clock in enumerate(clocks):
+        np.multiply(alphas[i], clock.rate_at(grid, side="right"), out=rates[i])
     rates[:, -1] = np.nan
 
     return Trace(
         config=config,
         topology=topology,
-        diameter_bound=diameter_bound,
+        diameter_bound=setup.diameter_bound,
         effective_skew_threshold=params.skew_threshold,
         horizon=horizon,
         sample_times=grid,
@@ -604,7 +620,7 @@ def run(config: RunConfig) -> Trace:
         events=tuple(event_log),
         reduced_intervals={k: tuple(iv) for k, iv in sorted(reduced_done.items())},
         clocks=clocks,
-        history=tuple(history),
+        history=history,
     )
 
 

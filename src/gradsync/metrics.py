@@ -10,6 +10,7 @@ reported statistics are exact, not approximations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -35,6 +36,7 @@ __all__ = [
     "reduced_rate_stats",
     "bound_checks",
     "compute_report",
+    "sample_history",
     "trace_csv_text",
     "summary_json_text",
 ]
@@ -92,7 +94,7 @@ class Trace:
     start_times: np.ndarray
     events: tuple[TraceEvent, ...]
     reduced_intervals: dict
-    clocks: tuple["HardwareClock", ...] | None = None
+    clocks: tuple["HardwareClock", ...]
     history: tuple[NodeHistory, ...] | None = None
 
     @property
@@ -105,23 +107,32 @@ class Trace:
         Needs the run history; traces rebuilt from serialized form cannot
         be densely evaluated.
         """
-        if self.history is None or self.clocks is None:
+        if self.history is None:
             raise ValueError("trace carries no history; dense evaluation unavailable")
-        ts = np.asarray(times, dtype=float)
-        out = np.full((self.node_count, ts.size), np.nan)
-        for i, hist in enumerate(self.history):
-            if hist.times.size == 0:
-                continue
-            idx = np.searchsorted(hist.times, ts, side="right") - 1
-            mask = idx >= 0
-            if not mask.any():
-                continue
-            h_now = self.clocks[i].hardware_time(ts[mask])
-            h_base = self.clocks[i].hardware_time(hist.times[idx[mask]])
-            out[i, mask] = hist.values[idx[mask]] + hist.factors[idx[mask]] * (
-                h_now - h_base
-            )
-        return out
+        return sample_history(self.history, self.clocks, times)[0]
+
+
+def sample_history(history, clocks, times) -> tuple[np.ndarray, np.ndarray]:
+    """Logical values and rate factors of every node at real times `times`.
+
+    One row per node, NaN before the node's first rebase point. Between
+    rebase points a logical clock is linear in hardware time, so the values
+    are exact.
+    """
+    ts = np.asarray(times, dtype=float)
+    logical = np.full((len(history), ts.size), np.nan)
+    alphas = np.full((len(history), ts.size), np.nan)
+    for i, (hist, clock) in enumerate(zip(history, clocks)):
+        if hist.times.size == 0:
+            continue
+        idx = np.searchsorted(hist.times, ts, side="right") - 1
+        mask = idx >= 0
+        base = idx[mask]
+        h_now = clock.hardware_time(ts[mask])
+        h_base = clock.hardware_time(hist.times[base])
+        logical[i, mask] = hist.values[base] + hist.factors[base] * (h_now - h_base)
+        alphas[i, mask] = hist.factors[base]
+    return logical, alphas
 
 
 class GlobalSkew(NamedTuple):
@@ -349,7 +360,18 @@ def bound_checks(report: SkewReport, config: "RunConfig") -> tuple[BoundVerdict,
 
 
 def compute_report(trace: Trace, warmup: float = 0.0) -> SkewReport:
-    """Assemble the full SkewReport for a trace, verdicts included."""
+    """Assemble the full SkewReport for a trace, verdicts included.
+
+    Raises ConfigError if warmup is not finite or lies past the horizon,
+    where no sample would be measured and the verdicts would rest on nothing.
+    """
+    if not (math.isfinite(warmup) and warmup <= trace.horizon):
+        from .engine import ConfigError
+
+        raise ConfigError(
+            [f"warmup {warmup!r} leaves no sample: it must be finite and at most "
+             f"the horizon {trace.horizon!r}"]
+        )
     top = global_skew(trace, warmup)
     matrix = _max_skew_matrix(trace, warmup)
     report = SkewReport(
@@ -393,10 +415,9 @@ def trace_csv_text(trace: Trace) -> str:
         if ev.payload is not None:
             add_kind(ev.receive_time, ev.dst, "recv")
         add_kind(ev.send_time, ev.src, "send")
-    if trace.clocks is not None:
-        for node, clock in enumerate(trace.clocks):
-            for b in clock.schedule.breakpoints[1:]:
-                add_kind(b, node, "drift")
+    for node, clock in enumerate(trace.clocks):
+        for b in clock.schedule.breakpoints[1:]:
+            add_kind(b, node, "drift")
     for node, t in enumerate(trace.start_times):
         if t == 0.0:
             add_kind(0.0, node, "start")
@@ -425,15 +446,6 @@ def summary_json_text(trace: Trace, report: SkewReport) -> str:
     can be reproduced from its own summary."""
     from .engine import config_to_dict
 
-    drift_schedules = None
-    if trace.clocks is not None:
-        drift_schedules = [
-            {
-                "breakpoints": [float(b) for b in clock.schedule.breakpoints],
-                "rates": [float(r) for r in clock.schedule.rates],
-            }
-            for clock in trace.clocks
-        ]
     payload = {
         "schema": "gradsync.summary/1",
         "config": config_to_dict(trace.config),
@@ -443,7 +455,13 @@ def summary_json_text(trace: Trace, report: SkewReport) -> str:
         "effective_skew_threshold": trace.effective_skew_threshold,
         "horizon": trace.horizon,
         "seed": trace.config.seed,
-        "drift_schedules": drift_schedules,
+        "drift_schedules": [
+            {
+                "breakpoints": [float(b) for b in clock.schedule.breakpoints],
+                "rates": [float(r) for r in clock.schedule.rates],
+            }
+            for clock in trace.clocks
+        ],
         "start_times": [
             None if not np.isfinite(t) else float(t) for t in trace.start_times
         ],

@@ -3,9 +3,11 @@
 The oracle advances every logical clock by forward-Euler steps of a fixed
 dt (rate sampled at the start of each substep) instead of the engine's
 exact piecewise-linear evaluation, and re-implements the reception rules
-inline instead of calling the protocol module. It consumes the identical
-communication schedule and drift realizations, honors message times
-exactly, and is intended for desk-scale instances only.
+inline instead of calling the protocol module. It starts from the same
+resolve(config) as the engine, so it consumes the identical horizon,
+effective threshold, communication schedule, drift realizations and sample
+grid; it honors message times exactly and is intended for desk-scale
+instances only.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ConfigError, RunConfig, _make_clocks, _validate, generate_schedule
+from .engine import RunConfig, resolve, sample_grid
 from .metrics import Trace
 
 __all__ = ["oracle_run", "compare", "Comparison"]
@@ -42,42 +44,21 @@ def oracle_run(config: RunConfig, dt: float) -> Trace:
     the same sample grid and conventions as the engine's, so the two can
     be compared entry by entry.
     """
-    violations, topology = _validate(config)
-    if violations:
-        raise ConfigError(violations)
+    setup = resolve(config)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dt > config.max_gap / 10.0:
         raise ValueError(f"dt {dt} exceeds max_gap/10 = {config.max_gap / 10.0}")
 
+    topology, horizon, clocks = setup.topology, setup.horizon, setup.clocks
     n = topology.node_count
-    diameter_bound = (
-        config.diameter_bound if config.diameter_bound is not None else topology.diameter
-    )
-    horizon = (
-        config.horizon
-        if config.horizon is not None
-        else 4.0 * topology.diameter * config.max_gap
-    )
-    threshold = config.skew_threshold
-    if config.variant == "large_c":
-        threshold = (1.0 + config.drift_bound) * math.sqrt(diameter_bound + 1)
+    threshold = setup.params.skew_threshold
     slowdown = config.variant == "gradient"
-    reduced = 1.0 / diameter_bound
+    reduced = 1.0 / setup.diameter_bound
 
-    clocks = _make_clocks(config, n, horizon)
     breaks = [list(c.schedule.breakpoints) for c in clocks]
     drifts = [list(c.schedule.rates) for c in clocks]
-    schedule = generate_schedule(
-        topology,
-        config.max_gap,
-        config.schedule_mode,
-        config.seed,
-        horizon,
-        gap_min=config.gap_min,
-        scripted=config.scripted_sends,
-    )
-    events = schedule.events()
+    events = setup.schedule.events()
 
     started = [False] * n
     level = [0.0] * n
@@ -134,11 +115,7 @@ def oracle_run(config: RunConfig, dt: float) -> Trace:
         started[i] = True
         start_times[i] = 0.0
 
-    sample_set = {0.0, horizon}
-    sample_set.update(ev.time for ev in events)
-    for clock in clocks:
-        sample_set.update(b for b in clock.schedule.breakpoints if 0.0 < b < horizon)
-    grid = np.array(sorted(sample_set))
+    grid = sample_grid((ev.time for ev in events), clocks, horizon)
 
     S = grid.size
     logical = np.full((n, S), np.nan)
@@ -177,7 +154,7 @@ def oracle_run(config: RunConfig, dt: float) -> Trace:
     return Trace(
         config=config,
         topology=topology,
-        diameter_bound=diameter_bound,
+        diameter_bound=setup.diameter_bound,
         effective_skew_threshold=threshold,
         horizon=horizon,
         sample_times=grid,

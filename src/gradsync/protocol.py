@@ -159,17 +159,14 @@ def logical_time(state: NodeState, h_now: float) -> float:
     return state.l_base + rate_factor(state) * (h_now - state.h_base)
 
 
-def on_start(state: NodeState, h_now: float, cause: str) -> NodeState:
+def on_start(state: NodeState, h_now: float) -> NodeState:
     """Start the node's logical clock at 0.
 
-    cause is 'initiator' (spontaneous, at run begin) or 'first_message'
-    (woken by the first synchronization payload); both initialize the
-    same way.
+    An initiator starting at run begin and a node woken by its first
+    synchronization payload initialize the same way.
     """
     if state.started:
         raise ProtocolError(f"node {state.node} started twice")
-    if cause not in ("initiator", "first_message"):
-        raise ProtocolError(f"unknown start cause {cause!r}")
     return replace(
         state,
         started=True,

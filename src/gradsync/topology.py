@@ -16,7 +16,6 @@ __all__ = [
     "Topology",
     "TopologyError",
     "all_pairs_distances",
-    "build_topology",
     "chain",
     "ring",
     "grid",
@@ -216,24 +215,3 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
             ) from None
     return edges
 
-
-def build_topology(kind: str, **params) -> Topology:
-    """Dispatch on kind: chain, ring, grid, random_geometric, edge_list."""
-    if kind == "chain":
-        return chain(params["n"])
-    if kind == "ring":
-        return ring(params["n"])
-    if kind == "grid":
-        return grid(params["rows"], params["cols"])
-    if kind == "random_geometric":
-        return random_geometric(
-            params["n"],
-            params["radius"],
-            params.get("seed", 0),
-            params.get("retries", 50),
-        )
-    if kind == "edge_list":
-        if "text" in params:
-            return from_edges(parse_edge_list(params["text"]))
-        return from_edges(params["edges"])
-    raise TopologyError(f"unknown topology kind {kind!r}")

@@ -229,6 +229,73 @@ class TestInputBoundary:
         assert "diameter must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("warmup", ["nan", "inf", "-inf", "1e9"])
+    def test_warmup_without_samples_refused(self, tmp_path, capsys, warmup):
+        out = tmp_path / "out"
+        code = main(["run", "--preset", "two_node", f"--warmup={warmup}", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"warmup {float(warmup)!r} leaves no sample" in err
+        assert "the horizon 4.0" in err
+        assert not out.exists()
+
+    def test_sweep_warmup_without_samples_refused(self, tmp_path, capsys):
+        spec = {"base": {"preset": "wait_chain"}, "parameter": "diameter", "values": [4]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["sweep", "--sweep", str(path), "--out", str(out), "--warmup", "nan"])
+        assert code == 2
+        assert "warmup nan leaves no sample" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec,named",
+        [
+            ("7", "--inject-skew must read NODE:DELTA, got '7'"),
+            ("x:1", "--inject-skew must read NODE:DELTA, got 'x:1'"),
+            ("99:1", "--inject-skew node 99 is not in 0..1"),
+            ("-1:1", "--inject-skew node -1 is not in 0..1"),
+            ("1:nan", "--inject-skew delta must be finite, got nan"),
+            ("1:-inf", "--inject-skew delta must be finite, got -inf"),
+        ],
+    )
+    def test_malformed_inject_skew_refused(self, tmp_path, capsys, spec, named):
+        out = tmp_path / "out"
+        argv = ["run", "--preset", "two_node", f"--inject-skew={spec}", "--out", str(out)]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec,named",
+        [
+            ([1, 2], "sweep spec must be an object, got [1, 2]"),
+            ({"values": 5}, "values must be a nonempty list, got 5"),
+            ({"values": []}, "values must be a nonempty list, got []"),
+            ({"variants": "gradient"}, "variants must be a nonempty list of names"),
+            ({"variants": [1]}, "variants must be a nonempty list of names"),
+            ({"base": {"preset": 5}}, "base.preset must be a string, got 5"),
+            ({"base": {"preset": ["wait_chain"]}}, "base.preset must be a string"),
+            ({"base": {"preset": "wait_chain", "seed": 3}}, "unknown field 'base.seed'"),
+            ({"base": {"preset": "nope"}}, "unknown preset 'nope'"),
+            ({"base": [1]}, "base must be a config object"),
+            ({"base": {"drift_bound": 0.1}}, "base: malformed config: missing required field 'topology'"),
+            ({"parameter": "horizon"}, "parameter must be one of"),
+            ({"valeus": [4]}, "unknown sweep field 'valeus'"),
+        ],
+    )
+    def test_malformed_sweep_spec_refused(self, tmp_path, capsys, spec, named):
+        if isinstance(spec, dict):
+            spec = {"base": {"preset": "wait_chain"}, "parameter": "diameter",
+                    "values": [4], **spec}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        assert f"violation: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeterminismAcrossProcesses:
     def test_two_invocations_hash_identically(self, tmp_path):

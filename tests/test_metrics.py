@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gradsync.engine import (
+    ConfigError,
     RunConfig,
     TopologySpec,
     build_wait_chain_scenario,
@@ -319,8 +320,14 @@ class TestReportMatchesReference:
 
     def test_warmup(self):
         trace = run(preset("wait_chain"))
-        for warmup in (0.5, trace.horizon * 0.4, trace.horizon, trace.horizon + 1.0):
+        for warmup in (0.5, trace.horizon * 0.4, trace.horizon):
             assert_report_matches_reference(trace, warmup)
+
+    def test_warmup_without_samples_refused(self):
+        trace = run(preset("two_node"))
+        for warmup in (trace.horizon + 1.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match=f"warmup {warmup!r} leaves no sample"):
+                compute_report(trace, warmup)
 
     def test_more_samples_than_one_block(self):
         trace = run(replace(preset("random_geometric"), seed=3))

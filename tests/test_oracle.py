@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -112,3 +113,21 @@ def test_oracle_slowdown_bookkeeping_matches_engine():
         assert len(intervals) == len(other)
         for (a1, b1), (a2, b2) in zip(intervals, other):
             assert a1 == a2 and b1 == b2
+
+
+@pytest.mark.parametrize("variant", ["gradient", "no_slowdown", "large_c"])
+@pytest.mark.parametrize("name", ["two_node", "startup_chain", "drifting_chain"])
+def test_engine_and_oracle_agree_across_variants(name, variant):
+    cfg = replace(preset(name), variant=variant)
+    dt = 1e-3
+    engine_trace = run(cfg)
+    oracle_trace = oracle_run(cfg, dt)
+    for field in ("horizon", "diameter_bound", "effective_skew_threshold"):
+        assert getattr(oracle_trace, field) == getattr(engine_trace, field), field
+    if variant == "large_c":
+        assert engine_trace.effective_skew_threshold == (1 + cfg.drift_bound) * math.sqrt(
+            engine_trace.diameter_bound + 1
+        )
+    assert np.array_equal(oracle_trace.sample_times, engine_trace.sample_times)
+    outcome = compare(engine_trace, oracle_trace, 2 * (1 + cfg.drift_bound) * dt)
+    assert outcome.passed, outcome

@@ -18,7 +18,7 @@ from gradsync.protocol import (
 
 
 def started_state(neighbors, l_base=0.0, h_base=0.0, views=None, factors=None):
-    state = on_start(fresh_state(0, neighbors), h_base, "initiator")
+    state = on_start(fresh_state(0, neighbors), h_base)
     state = replace(state, l_base=l_base)
     if views:
         state = replace(state, views={**state.views, **views})
@@ -60,22 +60,22 @@ class TestRateFactor:
 
 class TestOnStart:
     def test_initiator_begins_at_zero(self):
-        state = on_start(fresh_state(3, (0,)), 0.0, "initiator")
+        state = on_start(fresh_state(3, (0,)), 0.0)
         assert state.started and logical_time(state, 0.0) == 0.0
 
     def test_first_message_begins_at_zero(self):
-        state = on_start(fresh_state(3, (0,)), 3.7, "first_message")
+        state = on_start(fresh_state(3, (0,)), 3.7)
         assert logical_time(state, 3.7) == 0.0
 
     def test_concurrent_initiators_symmetric(self):
-        a = on_start(fresh_state(0, (1,)), 0.0, "initiator")
-        b = on_start(fresh_state(1, (0,)), 0.0, "initiator")
+        a = on_start(fresh_state(0, (1,)), 0.0)
+        b = on_start(fresh_state(1, (0,)), 0.0)
         assert logical_time(a, 0.0) == logical_time(b, 0.0) == 0.0
 
     def test_double_start_rejected(self):
-        state = on_start(fresh_state(0, (1,)), 0.0, "initiator")
+        state = on_start(fresh_state(0, (1,)), 0.0)
         with pytest.raises(ProtocolError, match="twice"):
-            on_start(state, 1.0, "first_message")
+            on_start(state, 1.0)
 
 
 PARAMS_D4 = ProtocolParams(skew_threshold=1.0, diameter_bound=4)
@@ -183,7 +183,7 @@ def receive_sequences():
 @given(receive_sequences(), st.sampled_from(["gradient", "no_slowdown"]))
 def test_monotone_and_factor_domain_over_sequences(seq, variant):
     params = ProtocolParams(1.0, 4, variant=variant)
-    state = on_start(fresh_state(0, (1, 2, 3)), 0.0, "initiator")
+    state = on_start(fresh_state(0, (1, 2, 3)), 0.0)
     h_now = 0.0
     level = logical_time(state, h_now)
     for sender, value, dwell in seq:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradsync.engine import TopologySpec
 from gradsync.topology import (
     TopologyError,
     all_pairs_distances,
-    build_topology,
     chain,
     from_edges,
     grid,
@@ -112,7 +112,7 @@ def test_self_loop_rejected():
 
 def test_edge_list_text_format():
     text = "# a square\n0 1\n1 2\n\n2 3\n3 0\n"
-    topo = build_topology("edge_list", text=text)
+    topo = from_edges(parse_edge_list(text))
     assert topo.node_count == 4
     assert topo.diameter == 2
     with pytest.raises(TopologyError, match="line 1"):
@@ -129,9 +129,12 @@ def test_random_geometric_is_deterministic_and_can_fail():
         random_geometric(30, 0.01, seed=5, retries=3)
 
 
-def test_build_topology_dispatch():
-    assert build_topology("chain", n=4).diameter == 3
-    assert build_topology("ring", n=6).diameter == 3
-    assert build_topology("grid", rows=2, cols=2).diameter == 2
+def test_topology_spec_dispatch():
+    assert TopologySpec(kind="chain", n=4).build().diameter == 3
+    assert TopologySpec(kind="ring", n=6).build().diameter == 3
+    assert TopologySpec(kind="grid", rows=2, cols=2).build().diameter == 2
+    assert TopologySpec(kind="edge_list", edges=((0, 1), (1, 2))).build().diameter == 2
+    rgg = TopologySpec(kind="random_geometric", n=20, radius=0.4)
+    assert rgg.build(default_seed=5).adjacency == random_geometric(20, 0.4, seed=5).adjacency
     with pytest.raises(TopologyError, match="unknown topology kind"):
-        build_topology("star", n=3)
+        TopologySpec(kind="star", n=3).build()
