@@ -11,7 +11,6 @@ from .clocks import DriftSchedule, HardwareClock, make_drift_schedule
 from .engine import (
     CommSchedule,
     ConfigError,
-    Event,
     RunConfig,
     Setup,
     TopologySpec,

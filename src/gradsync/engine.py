@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -41,7 +42,6 @@ __all__ = [
     "RunConfig",
     "Setup",
     "CommSchedule",
-    "Event",
     "ConfigError",
     "SCHEDULE_MODES",
     "generate_schedule",
@@ -139,20 +139,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class Event:
-    """A send on a directed edge; reception happens at the same instant."""
-
-    time: float
-    src: int
-    dst: int
-    seq: int
-
-    @property
-    def order_key(self):
-        return (self.time, -self.src, self.dst, self.seq)
-
-
-@dataclass(frozen=True)
 class CommSchedule:
     """Per-directed-edge send times within [0, horizon].
 
@@ -189,14 +175,23 @@ class CommSchedule:
                 found.append(f"edge {src}->{dst}: no sends scheduled")
         return found
 
-    def events(self) -> tuple[Event, ...]:
-        out = [
-            Event(t, src, dst, k)
-            for (src, dst), times in sorted(self.sends.items())
-            for k, t in enumerate(times)
-        ]
-        out.sort(key=lambda e: e.order_key)
-        return tuple(out)
+    def events(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every send as columns (times, src, dst) in processing order.
+
+        The order is by time, then descending source, ascending destination
+        and per-edge sequence. The keys are unique, so one lexsort fixes the
+        order completely.
+        """
+        edges = sorted(self.sends.items())
+        counts = np.array([len(times) for _, times in edges], dtype=np.int64)
+        times = np.fromiter(
+            chain.from_iterable(times for _, times in edges), dtype=float, count=int(counts.sum())
+        )
+        src = np.repeat(np.array([s for (s, _), _ in edges], dtype=np.int64), counts)
+        dst = np.repeat(np.array([d for (_, d), _ in edges], dtype=np.int64), counts)
+        seq = np.arange(times.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        order = np.lexsort((seq, dst, -src, times))
+        return times[order], src[order], dst[order]
 
 
 def _capped_step(t: float, gap: float, cap: float) -> float:
@@ -513,11 +508,34 @@ def sample_grid(event_times, clocks, horizon: float) -> np.ndarray:
     """Sorted sample times: run start, every event time, every drift
     breakpoint inside the run, and the horizon. Between two consecutive
     samples every logical clock is linear in real time."""
-    sample_set = {0.0, horizon}
-    sample_set.update(event_times)
+    parts = [np.array([0.0, horizon]), np.asarray(event_times, dtype=float)]
     for clock in clocks:
-        sample_set.update(b for b in clock.schedule.breakpoints if 0.0 < b < horizon)
-    return np.array(sorted(sample_set))
+        breaks = np.asarray(clock.schedule.breakpoints, dtype=float)
+        parts.append(breaks[(breaks > 0.0) & (breaks < horizon)])
+    return np.unique(np.concatenate(parts))
+
+
+def _hardware_times(clocks, times: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """clocks[nodes[k]].hardware_time(times[k]) for every k, evaluated with
+    one vector call per node."""
+    out = np.empty_like(times)
+    order = np.argsort(nodes, kind="stable")
+    bounds = np.searchsorted(nodes[order], np.arange(len(clocks) + 1))
+    for i, clock in enumerate(clocks):
+        idx = order[bounds[i]:bounds[i + 1]]
+        out[idx] = clock.hardware_time(times[idx])
+    return out
+
+
+# Events converted to Python scalars at a time by _rows: converting whole
+# columns up front would keep two extra floats per event alive for the run.
+_ROW_BLOCK = 4096
+
+
+def _rows(*columns):
+    """Rows of equal-length arrays as Python scalars, one block at a time."""
+    for start in range(0, columns[0].size, _ROW_BLOCK):
+        yield from zip(*(col[start:start + _ROW_BLOCK].tolist() for col in columns))
 
 
 def run(config: RunConfig) -> Trace:
@@ -544,58 +562,57 @@ def run(config: RunConfig) -> Trace:
     def record(node: int, t: float):
         hist_times[node].append(t)
         hist_values[node].append(states[node].l_base)
-        hist_factors[node].append(rate_factor(states[node]))
+        hist_factors[node].append(factor_of(states[node]))
+
+    # Local aliases, taken per run so that rebinding the module names
+    # (as the benchmark's tracer does) still takes effect.
+    emit, receive, factor_of = emit_payload, on_receive, rate_factor
+    log = event_log.append
+    process_on_start = config.process_on_start
 
     for i in sorted(config.initiators):
-        states[i] = on_start(states[i], 0.0)
+        on_start(states[i], 0.0)
         start_times[i] = 0.0
         record(i, 0.0)
 
-    for ev in setup.schedule.events():
-        h_src = clocks[ev.src].hardware_time(ev.time)
-        payload = emit_payload(states[ev.src], h_src)
+    times, srcs, dsts = setup.schedule.events()
+    h_srcs = _hardware_times(clocks, times, srcs)
+    h_dsts = _hardware_times(clocks, times, dsts)
+    for t, src, dst, h_src, h_dst in _rows(times, srcs, dsts, h_srcs, h_dsts):
+        payload = emit(states[src], h_src)
         if payload is None:
-            event_log.append(
-                TraceEvent(ev.time, ev.time, ev.src, ev.dst, None, False, 0.0)
-            )
+            log(TraceEvent(t, t, src, dst, None, False, 0.0))
             continue
-        h_dst = clocks[ev.dst].hardware_time(ev.time)
-        started_now = False
-        if not states[ev.dst].started:
-            states[ev.dst] = on_start(states[ev.dst], h_dst)
-            start_times[ev.dst] = ev.time
-            started_now = True
-            record(ev.dst, ev.time)
-            apply_step2 = config.process_on_start
+        state = states[dst]
+        started_now = not state.started
+        if started_now:
+            on_start(state, h_dst)
+            start_times[dst] = t
+            record(dst, t)
+            apply_step2 = process_on_start
         else:
             apply_step2 = True
-        before = states[ev.dst]
-        level_before = before.l_base + rate_factor(before) * (h_dst - before.h_base)
-        after = on_receive(
-            before, params, ev.src, payload, h_dst, apply_step2=apply_step2
-        )
-        states[ev.dst] = after
+        level_before = state.l_base + factor_of(state) * (h_dst - state.h_base)
+        old_factor = state.rate_factors[src]
+        receive(state, params, src, payload, h_dst, apply_step2=apply_step2)
         jump = 0.0
-        if after.h_base == h_dst and apply_step2:
-            jump = after.l_base - level_before
-            record(ev.dst, ev.time)
-        old_factor = before.rate_factors[ev.src]
-        new_factor = after.rate_factors[ev.src]
-        if new_factor != old_factor:
-            key = (ev.dst, ev.src)
-            if new_factor < 1.0:
-                reduced_open[key] = ev.time
-            else:
-                opened = reduced_open.pop(key)
-                reduced_done.setdefault(key, []).append((opened, ev.time))
-        event_log.append(
-            TraceEvent(ev.time, ev.time, ev.src, ev.dst, payload.value, started_now, jump)
-        )
+        if apply_step2:
+            jump = state.l_base - level_before
+            record(dst, t)
+            new_factor = state.rate_factors[src]
+            if new_factor != old_factor:
+                key = (dst, src)
+                if new_factor < 1.0:
+                    reduced_open[key] = t
+                else:
+                    opened = reduced_open.pop(key)
+                    reduced_done.setdefault(key, []).append((opened, t))
+        log(TraceEvent(t, t, src, dst, payload.value, started_now, jump))
 
     for key, opened in sorted(reduced_open.items()):
         reduced_done.setdefault(key, []).append((opened, horizon))
 
-    grid = sample_grid((ev.send_time for ev in event_log), clocks, horizon)
+    grid = sample_grid(times, clocks, horizon)
     history = tuple(
         NodeHistory(times=np.array(ht), values=np.array(hv), factors=np.array(hf))
         for ht, hv, hf in zip(hist_times, hist_values, hist_factors)

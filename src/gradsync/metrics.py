@@ -44,8 +44,7 @@ __all__ = [
 CHECK_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One application message on a directed edge.
 
     Delivery is instantaneous, so receive_time always equals send_time;

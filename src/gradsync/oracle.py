@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RunConfig, resolve, sample_grid
+from .engine import ConfigError, RunConfig, resolve, sample_grid
 from .metrics import Trace
 
 __all__ = ["oracle_run", "compare", "Comparison"]
@@ -40,15 +40,15 @@ class Comparison:
 def oracle_run(config: RunConfig, dt: float) -> Trace:
     """Re-simulate a config with fixed-step integration.
 
-    dt must be positive and at most max_gap / 10. The returned trace uses
-    the same sample grid and conventions as the engine's, so the two can
-    be compared entry by entry.
+    dt must be positive, finite and at most max_gap / 10. The returned
+    trace uses the same sample grid and conventions as the engine's, so the
+    two can be compared entry by entry.
     """
     setup = resolve(config)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ConfigError([f"dt must be positive and finite, got {dt}"])
     if dt > config.max_gap / 10.0:
-        raise ValueError(f"dt {dt} exceeds max_gap/10 = {config.max_gap / 10.0}")
+        raise ConfigError([f"dt {dt} exceeds max_gap/10 = {config.max_gap / 10.0}"])
 
     topology, horizon, clocks = setup.topology, setup.horizon, setup.clocks
     n = topology.node_count
@@ -58,7 +58,8 @@ def oracle_run(config: RunConfig, dt: float) -> Trace:
 
     breaks = [list(c.schedule.breakpoints) for c in clocks]
     drifts = [list(c.schedule.rates) for c in clocks]
-    events = setup.schedule.events()
+    times, srcs, dsts = setup.schedule.events()
+    events = list(zip(times.tolist(), srcs.tolist(), dsts.tolist()))
 
     started = [False] * n
     level = [0.0] * n
@@ -115,7 +116,7 @@ def oracle_run(config: RunConfig, dt: float) -> Trace:
         started[i] = True
         start_times[i] = 0.0
 
-    grid = sample_grid((ev.time for ev in events), clocks, horizon)
+    grid = sample_grid(times, clocks, horizon)
 
     S = grid.size
     logical = np.full((n, S), np.nan)
@@ -124,21 +125,21 @@ def oracle_run(config: RunConfig, dt: float) -> Trace:
     ei = 0
     for col, s in enumerate(grid):
         s = float(s)
-        while ei < len(events) and events[ei].time <= s:
-            ev = events[ei]
+        while ei < len(events) and events[ei][0] <= s:
+            t, src, dst = events[ei]
             ei += 1
-            advance(ev.src, ev.time)
-            advance(ev.dst, ev.time)
-            if not started[ev.src]:
+            advance(src, t)
+            advance(dst, t)
+            if not started[src]:
                 continue
-            value = level[ev.src]
-            if not started[ev.dst]:
-                started[ev.dst] = True
-                level[ev.dst] = 0.0
-                start_times[ev.dst] = ev.time
-                deliver(ev.dst, ev.src, value, config.process_on_start, ev.time)
+            value = level[src]
+            if not started[dst]:
+                started[dst] = True
+                level[dst] = 0.0
+                start_times[dst] = t
+                deliver(dst, src, value, config.process_on_start, t)
             else:
-                deliver(ev.dst, ev.src, value, True, ev.time)
+                deliver(dst, src, value, True, t)
         for i in range(n):
             advance(i, s)
             if started[i]:
@@ -176,6 +177,8 @@ def compare(trace_a: Trace, trace_b: Trace, tol: float) -> Comparison:
     and sample grid). A point where one trace has a value and the other
     does not counts as an infinite deviation.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError([f"tol must be non-negative and finite, got {tol}"])
     if trace_a.config != trace_b.config:
         raise ValueError("traces come from different configs")
     if not np.array_equal(trace_a.sample_times, trace_b.sample_times):

@@ -10,14 +10,17 @@ behind by more than the skew threshold.
 
 State is stored rebased: (h_base, l_base, factors) with the logical value
 recomputed lazily from hardware time, so evaluation between events is an
-exact linear extrapolation with no accumulation error. Every update
-returns a new NodeState; instances are never mutated.
+exact linear extrapolation with no accumulation error. on_start and
+on_receive update the state they are given in place and return it; the
+state also counts the neighbors held at the reduced factor, so the rate
+factor is read in O(1) and a reception costs O(degree) for its view
+extremes only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 __all__ = [
     "VARIANTS",
@@ -107,13 +110,18 @@ class SyncPayload:
             raise ProtocolError(f"payload value must be >= 0, got {self.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NodeState:
-    """One node's synchronization state.
+    """One node's synchronization state, updated in place by the protocol.
 
     views[j] is the last value heard from neighbor j, 0 before the first
     reception. rate_factors[j] is 1 or 1/diameter_bound. Before start the
     logical clock is undefined and the node emits no payload.
+
+    reduced counts the neighbors whose factor is below 1 and factor is the
+    current rate factor, min(rate_factors.values()). Both are derived from
+    rate_factors on construction (dataclasses.replace included) and kept
+    up to date by on_start and on_receive.
     """
 
     node: int
@@ -123,6 +131,12 @@ class NodeState:
     l_base: float
     views: dict[int, float]
     rate_factors: dict[int, float]
+    reduced: int = field(init=False)
+    factor: float = field(init=False)
+
+    def __post_init__(self):
+        self.reduced = sum(1 for f in self.rate_factors.values() if f < 1.0)
+        self.factor = min(self.rate_factors.values())
 
 
 def fresh_state(node: int, neighbors) -> NodeState:
@@ -135,17 +149,21 @@ def fresh_state(node: int, neighbors) -> NodeState:
         started=False,
         h_base=0.0,
         l_base=0.0,
-        views={j: 0.0 for j in neighbors},
-        rate_factors={j: 1.0 for j in neighbors},
+        views=dict.fromkeys(neighbors, 0.0),
+        rate_factors=dict.fromkeys(neighbors, 1.0),
     )
 
 
 def rate_factor(state: NodeState) -> float:
-    """Current factor applied to the hardware rate: min over neighbors."""
+    """Current factor applied to the hardware rate: min over neighbors.
+
+    Every factor is 1 or the run's one reduced factor, so the minimum is
+    that reduced factor while any neighbor holds it and 1 otherwise; the
+    state keeps it current, which makes this O(1).
+    """
     if not state.started:
         raise ProtocolError(f"node {state.node} is not started")
-    # rate_factors carries exactly the neighbor keys by construction
-    return min(state.rate_factors.values())
+    return state.factor
 
 
 def logical_time(state: NodeState, h_now: float) -> float:
@@ -156,25 +174,25 @@ def logical_time(state: NodeState, h_now: float) -> float:
         raise ProtocolError(
             f"hardware time ran backwards: {h_now} < base {state.h_base}"
         )
-    return state.l_base + rate_factor(state) * (h_now - state.h_base)
+    return state.l_base + state.factor * (h_now - state.h_base)
 
 
 def on_start(state: NodeState, h_now: float) -> NodeState:
-    """Start the node's logical clock at 0.
+    """Start the node's logical clock at 0, in place; returns the state.
 
     An initiator starting at run begin and a node woken by its first
     synchronization payload initialize the same way.
     """
     if state.started:
         raise ProtocolError(f"node {state.node} started twice")
-    return replace(
-        state,
-        started=True,
-        h_base=h_now,
-        l_base=0.0,
-        views={j: 0.0 for j in state.neighbors},
-        rate_factors={j: 1.0 for j in state.neighbors},
-    )
+    state.started = True
+    state.h_base = h_now
+    state.l_base = 0.0
+    state.views = dict.fromkeys(state.neighbors, 0.0)
+    state.rate_factors = dict.fromkeys(state.neighbors, 1.0)
+    state.reduced = 0
+    state.factor = 1.0
+    return state
 
 
 def on_receive(
@@ -185,7 +203,8 @@ def on_receive(
     h_now: float,
     apply_step2: bool = True,
 ) -> NodeState:
-    """Process a payload from a neighbor; instantaneous, returns new state.
+    """Process a payload from a neighbor; instantaneous, updates the state
+    in place and returns it.
 
     In order: record the sender's value; compare the current logical clock
     against it to lower or restore that sender's rate factor (gradient
@@ -194,35 +213,37 @@ def on_receive(
     apply_step2=False only the view is recorded, which engines use when a
     run is configured not to process the message that woke a node up.
     """
-    if sender not in state.neighbors:
+    views = state.views
+    # views carries exactly the neighbor keys by construction
+    if sender not in views:
         raise ProtocolError(f"node {state.node} received from non-neighbor {sender}")
     if not state.started:
         raise ProtocolError(f"node {state.node} received before starting")
 
-    views = dict(state.views)
-    views[sender] = payload.value
+    value = payload.value
+    views[sender] = value
     if not apply_step2:
-        return replace(state, views=views)
+        return state
 
     current = logical_time(state, h_now)
 
-    factors = dict(state.rate_factors)
-    if params.slowdown_enabled and current >= views[sender] + params.skew_threshold:
-        factors[sender] = params.reduced_factor
+    threshold = params.skew_threshold
+    if params.slowdown_enabled and current >= value + threshold:
+        factor = params.reduced_factor
     else:
-        factors[sender] = 1.0
+        factor = 1.0
+    factors = state.rate_factors
+    old = factors[sender]
+    if old != factor:
+        factors[sender] = factor
+        state.reduced += (factor < 1.0) - (old < 1.0)
+        state.factor = params.reduced_factor if state.reduced else 1.0
 
     worst = min(views.values())
     best = max(views.values())
-    advanced = max(current, min(worst + params.skew_threshold, best))
-
-    return replace(
-        state,
-        views=views,
-        rate_factors=factors,
-        h_base=h_now,
-        l_base=advanced,
-    )
+    state.l_base = max(current, min(worst + threshold, best))
+    state.h_base = h_now
+    return state
 
 
 def emit_payload(state: NodeState, h_now: float) -> SyncPayload | None:

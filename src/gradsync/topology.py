@@ -85,20 +85,22 @@ def all_pairs_distances(adjacency) -> np.ndarray:
     """
     adj = _check_adjacency(adjacency)
     n = len(adj)
-    dist = np.full((n, n), -1, dtype=np.int64)
+    rows = []
     for src in range(n):
-        dist[src, src] = 0
+        row = [-1] * n
+        row[src] = 0
         queue = deque([src])
         while queue:
             u = queue.popleft()
+            hops = row[u] + 1
             for v in adj[u]:
-                if dist[src, v] < 0:
-                    dist[src, v] = dist[src, u] + 1
+                if row[v] < 0:
+                    row[v] = hops
                     queue.append(v)
-        if (dist[src] < 0).any():
-            missing = int(np.argmax(dist[src] < 0))
-            raise TopologyError(f"nodes {src} and {missing} are disconnected")
-    return dist
+        if -1 in row:
+            raise TopologyError(f"nodes {src} and {row.index(-1)} are disconnected")
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
 
 
 def _from_adjacency(adjacency) -> Topology:

@@ -296,6 +296,25 @@ class TestInputBoundary:
         assert f"violation: {named}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,named",
+        [
+            ("--dt", "0", "dt must be positive and finite, got 0.0"),
+            ("--dt", "-1e-3", "dt must be positive and finite, got -0.001"),
+            ("--dt", "nan", "dt must be positive and finite, got nan"),
+            ("--dt", "inf", "dt must be positive and finite, got inf"),
+            ("--dt", "0.5", "dt 0.5 exceeds max_gap/10 = 0.1"),
+            ("--tol", "nan", "tol must be non-negative and finite, got nan"),
+            ("--tol", "-1", "tol must be non-negative and finite, got -1.0"),
+            ("--tol", "inf", "tol must be non-negative and finite, got inf"),
+        ],
+    )
+    def test_bad_oracle_step_or_tolerance_refused(self, capsys, flag, value, named):
+        assert main(["oracle-check", "--preset", "two_node", f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert f"violation: {named}" in captured.err
+        assert "max deviation" not in captured.out
+
 
 class TestDeterminismAcrossProcesses:
     def test_two_invocations_hash_identically(self, tmp_path):

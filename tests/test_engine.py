@@ -10,17 +10,19 @@ from gradsync.engine import (
     ConfigError,
     RunConfig,
     TopologySpec,
+    _hardware_times,
     build_wait_chain_scenario,
     config_from_dict,
     config_to_dict,
     generate_schedule,
+    resolve,
     run,
     validate_config,
     wait_chain_length,
 )
 from gradsync.metrics import trace_csv_text
 from gradsync.presets import PRESETS, preset
-from gradsync.topology import chain, ring
+from gradsync.topology import chain, grid, random_geometric, ring
 
 
 def edge_send_times(trace):
@@ -83,6 +85,91 @@ class TestGenerateSchedule:
                 horizon=5.0,
                 scripted={(0, 1): (1.0,), (1, 0): (1.0, 2.0, 3.0, 4.0, 5.0)},
             )
+
+
+SCRIPTED_TIES = {
+    # equal times across edges and nodes, so every tie-break key is used
+    (0, 1): (0.5, 1.0, 2.0, 3.0),
+    (1, 0): (1.0, 2.0, 3.0),
+    (1, 2): (0.5, 1.0, 2.0, 2.5),
+    (2, 1): (1.0, 2.0, 3.0),
+    (2, 3): (1.0, 1.5, 2.0, 3.0),
+    (3, 2): (1.0, 2.0, 3.0),
+    (3, 0): (1.0, 2.0, 3.0),
+    (0, 3): (0.5, 1.0, 2.0, 3.0),
+}
+
+
+class TestEventOrder:
+    """CommSchedule.events() is the Python key sort (t, -src, dst, seq), as columns."""
+
+    @pytest.mark.parametrize(
+        "topology,mode,horizon",
+        [
+            (chain(5), "periodic", 6.5),
+            (grid(3, 3), "periodic", 5.0),
+            (ring(6), "random_uniform", 12.0),
+            (random_geometric(20, 0.4, 3), "random_uniform", 8.0),
+            (ring(4), "scripted", 3.0),
+        ],
+    )
+    def test_columns_match_key_sort(self, topology, mode, horizon):
+        scripted = SCRIPTED_TIES if mode == "scripted" else None
+        sched = generate_schedule(topology, 1.0, mode, 7, horizon, scripted=scripted)
+        reference = sorted(
+            (t, -src, dst, k)
+            for (src, dst), times in sched.sends.items()
+            for k, t in enumerate(times)
+        )
+        times, src, dst = sched.events()
+        assert times.tolist() == [key[0] for key in reference]
+        assert src.tolist() == [-key[1] for key in reference]
+        assert dst.tolist() == [key[2] for key in reference]
+        if mode != "random_uniform":
+            assert len(set(times.tolist())) < len(reference)  # ties are exercised
+
+
+class TestEventHardwareTimes:
+    """The per-node vector evaluation equals the scalar one, event by event."""
+
+    @pytest.mark.parametrize("mode", ["periodic", "random_uniform"])
+    def test_matches_scalar_on_piecewise_random_clocks(self, mode):
+        # dwell 0.5 with periodic sends at 1.0 puts every event time before
+        # the horizon on a drift breakpoint of every clock
+        cfg = RunConfig(
+            topology=TopologySpec(kind="grid", rows=3, cols=3),
+            drift_bound=0.3,
+            max_gap=1.0,
+            skew_threshold=1.0,
+            drift_mode="piecewise_random",
+            drift_dwell=0.5,
+            schedule_mode=mode,
+            seed=4,
+        )
+        setup = resolve(cfg)
+        times, src, dst = setup.schedule.events()
+        breaks = set(setup.clocks[0].schedule.breakpoints)
+        on_breaks = sum(t in breaks for t in times.tolist())
+        inside = int(np.sum(times < setup.horizon))
+        assert on_breaks == (inside if mode == "periodic" else 0)
+        for nodes in (src, dst):
+            vector = _hardware_times(setup.clocks, times, nodes)
+            scalar = [
+                setup.clocks[i].hardware_time(t) for t, i in zip(times.tolist(), nodes.tolist())
+            ]
+            assert vector.tolist() == scalar
+
+    def test_matches_scalar_exactly_on_breakpoints(self):
+        cfg = replace(preset("drifting_chain"), drift_dwell=0.25)
+        clocks = resolve(cfg).clocks
+        times = np.array(
+            [b for c in clocks for b in c.schedule.breakpoints] + [clocks[0].horizon]
+        )
+        nodes = np.arange(times.size) % len(clocks)
+        vector = _hardware_times(clocks, times, nodes)
+        assert vector.tolist() == [
+            clocks[i].hardware_time(t) for t, i in zip(times.tolist(), nodes.tolist())
+        ]
 
 
 class TestValidate:

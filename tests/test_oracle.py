@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gradsync.engine import RunConfig, TopologySpec, run
+from gradsync.engine import ConfigError, RunConfig, TopologySpec, run
 from gradsync.oracle import compare, oracle_run
 from gradsync.presets import preset
 
@@ -131,3 +131,17 @@ def test_engine_and_oracle_agree_across_variants(name, variant):
     assert np.array_equal(oracle_trace.sample_times, engine_trace.sample_times)
     outcome = compare(engine_trace, oracle_trace, 2 * (1 + cfg.drift_bound) * dt)
     assert outcome.passed, outcome
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf, 0.5])
+def test_bad_step_refused(dt):
+    with pytest.raises(ConfigError, match="dt"):
+        oracle_run(preset("two_node"), dt)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_bad_tolerance_refused(tol):
+    # every dev > nan is false, so a NaN tolerance would pass any deviation
+    trace = run(preset("two_node"))
+    with pytest.raises(ConfigError, match="tol must be non-negative and finite"):
+        compare(trace, trace, tol)

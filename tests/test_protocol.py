@@ -1,4 +1,5 @@
 import math
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -124,10 +125,11 @@ class TestOnReceive:
 
     def test_view_only_update_leaves_clock_alone(self):
         state = started_state((1, 2), l_base=3.0)
+        before = deepcopy(state)
         out = on_receive(state, PARAMS_D4, 1, SyncPayload(9.0), 0.0, apply_step2=False)
         assert out.views[1] == 9.0
-        assert out.l_base == 3.0 and out.h_base == state.h_base
-        assert out.rate_factors == state.rate_factors
+        assert out.l_base == 3.0 and out.h_base == before.h_base
+        assert out.rate_factors == before.rate_factors
 
 
 class TestVariants:
@@ -231,8 +233,9 @@ def test_same_instant_redelivery_is_idempotent(l_base, payload, other_view):
     state = started_state((1, 2), l_base=l_base, views={2: other_view})
     once = on_receive(state, PARAMS_D4, 1, SyncPayload(payload), 0.0)
     assume(abs(once.l_base - (payload + PARAMS_D4.skew_threshold)) > 1e-6)
+    snapshot = deepcopy(once)  # on_receive updates its state in place
     twice = on_receive(once, PARAMS_D4, 1, SyncPayload(payload), 0.0)
-    assert twice == once
+    assert twice == snapshot
 
 
 def test_redelivery_on_exact_boundary():
@@ -243,8 +246,9 @@ def test_redelivery_on_exact_boundary():
     assert once.l_base == 6.0 and once.rate_factors[1] == 1.0
     twice = on_receive(once, PARAMS_D4, 1, SyncPayload(5.0), 0.0)
     assert twice.l_base == 6.0 and twice.rate_factors[1] == 0.25
+    snapshot = deepcopy(twice)  # on_receive updates its state in place
     thrice = on_receive(twice, PARAMS_D4, 1, SyncPayload(5.0), 0.0)
-    assert thrice == twice
+    assert thrice == snapshot
 
 
 @settings(max_examples=100, deadline=None)
@@ -259,3 +263,55 @@ def test_emit_respects_elapsed_bound(l_base, elapsed, drift_bound):
     h_elapsed = (1.0 + drift_bound) * elapsed  # fastest admissible clock
     payload = emit_payload(state, h_elapsed)
     assert payload.value <= l_base + rate_factor(state) * (1 + drift_bound) * elapsed + 1e-9
+
+
+def test_updates_happen_in_place():
+    state = fresh_state(0, (1, 2))
+    assert on_start(state, 0.0) is state
+    assert on_receive(state, PARAMS_D4, 1, SyncPayload(2.0), 1.0) is state
+    assert on_receive(state, PARAMS_D4, 2, SyncPayload(2.0), 1.0, apply_step2=False) is state
+    assert state.views == {1: 2.0, 2: 2.0} and state.h_base == 1.0
+
+
+def test_constructed_state_derives_reduced_count():
+    state = started_state((1, 2, 3), factors={1: 0.25, 3: 0.25})
+    assert (state.reduced, state.factor) == (2, 0.25)
+    assert replace(state, rate_factors={1: 1.0, 2: 1.0, 3: 1.0}).reduced == 0
+
+
+def test_slowdown_lasts_until_every_factor_is_restored():
+    state = started_state((1, 2, 3), l_base=10.0)
+    on_receive(state, PARAMS_D4, 1, SyncPayload(0.0), 0.0)
+    on_receive(state, PARAMS_D4, 2, SyncPayload(0.0), 0.0)
+    assert (state.reduced, rate_factor(state)) == (2, 0.25)
+    on_receive(state, PARAMS_D4, 1, SyncPayload(20.0), 0.0)
+    assert (state.reduced, rate_factor(state)) == (1, 0.25)
+    on_receive(state, PARAMS_D4, 2, SyncPayload(20.0), 0.0)
+    assert (state.reduced, rate_factor(state)) == (0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([1, 2, 3]),
+            st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
+            st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    st.sampled_from([1, 2, 4, 8]),
+)
+def test_reduced_count_tracks_factors(seq, diameter_bound):
+    # the O(1) rate factor must equal the minimum over the per-neighbor
+    # factors after every reception, including view-only ones
+    params = ProtocolParams(1.0, diameter_bound)
+    state = on_start(fresh_state(0, (1, 2, 3)), 0.0)
+    h_now = 0.0
+    for sender, value, dwell, apply_step2 in seq:
+        h_now += dwell
+        on_receive(state, params, sender, SyncPayload(value), h_now, apply_step2=apply_step2)
+        assert state.reduced == sum(f < 1.0 for f in state.rate_factors.values())
+        assert rate_factor(state) == min(state.rate_factors.values())
