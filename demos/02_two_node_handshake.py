@@ -16,8 +16,7 @@ for process_on_start in (True, False):
     report = compute_report(trace)
     print(f"process_on_start={process_on_start}")
     print("  t      node0    node1")
-    for col, t in enumerate(trace.sample_times):
-        v0, v1 = trace.logical[:, col]
+    for t, (v0, v1) in zip(trace.sample_times, trace.logical.T):
         v1_text = f"{v1:7.3f}" if v1 == v1 else "   (off)"
         print(f"  {t:4.1f} {v0:8.3f} {v1_text}")
     print(

@@ -40,7 +40,7 @@ from .metrics import (
     summary_json_text,
     trace_csv_text,
 )
-from .oracle import Comparison, compare, oracle_run
+from .oracle import Comparison, OracleRun, compare, oracle_run
 from .presets import PRESETS, preset
 from .protocol import (
     NodeState,

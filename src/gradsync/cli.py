@@ -88,7 +88,8 @@ def cmd_validate(args) -> int:
 
 
 def _inject_skew(trace, text: str):
-    """The trace with DELTA added to every recorded value of NODE."""
+    """The trace with DELTA added to every rebase value of NODE's history,
+    which offsets its logical clock by DELTA from its start on."""
     node, _, delta = text.partition(":")
     try:
         node, delta = int(node), float(delta)
@@ -101,9 +102,9 @@ def _inject_skew(trace, text: str):
         problems.append(f"--inject-skew delta must be finite, got {delta}")
     if problems:
         raise ConfigError(problems)
-    logical = trace.logical.copy()
-    logical[node, :] += delta
-    return replace(trace, logical=logical)
+    history = list(trace.history)
+    history[node] = replace(history[node], values=history[node].values + delta)
+    return replace(trace, history=tuple(history))
 
 
 def cmd_run(args) -> int:
@@ -113,7 +114,9 @@ def cmd_run(args) -> int:
         trace = _inject_skew(trace, args.inject_skew)
     report = compute_report(trace, warmup=args.warmup)
     out = Path(args.out)
-    _write(out / "trace.csv", trace_csv_text(trace))
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "trace.csv", "w", encoding="utf-8") as fh:
+        trace_csv_text(trace, fh)
     _write(out / "summary.json", summary_json_text(trace, report))
     failed_guaranteed = False
     for v in report.bound_verdicts:
@@ -199,25 +202,30 @@ def _read_sweep(spec):
 
 
 def cmd_sweep(args) -> int:
+    """Run every point, then write every output: a point that fails
+    validation (each run validates its config, building its topology once)
+    leaves nothing written."""
     parameter, base, base_is_preset, values, variants = _read_sweep(_load_json(args.sweep))
-    points = []
-    for value in values:
-        for variant in variants:
-            cfg = _sweep_point(base, base_is_preset, parameter, value, variant)
-            problems = validate_config(cfg)
-            if problems:
-                raise ConfigError(
-                    [f"point {parameter}={value} variant={variant}: {p}" for p in problems]
-                )
-            points.append((value, variant, cfg))
+    points = [
+        (value, variant, _sweep_point(base, base_is_preset, parameter, value, variant))
+        for value in values
+        for variant in variants
+    ]
 
     out = Path(args.out)
+    summaries = []
     rows = ["parameter,value,variant,max_global_skew,neighbor_max_skew,min_rate,reduced_periods"]
     for value, variant, cfg in points:
-        trace = run(cfg)
+        try:
+            trace = run(cfg)
+        except ConfigError as exc:
+            raise ConfigError(
+                [f"point {parameter}={value} variant={variant}: {p}" for p in exc.violations]
+            ) from None
         report = compute_report(trace, warmup=args.warmup)
         tag = f"{parameter}_{value}_{variant}"
-        _write(out / tag / "summary.json", summary_json_text(trace, report))
+        summaries.append((out / tag / "summary.json", summary_json_text(trace, report)))
+        del trace  # free this run before the next one starts
         rows.append(
             ",".join(
                 [
@@ -233,6 +241,8 @@ def cmd_sweep(args) -> int:
         )
         print(f"{tag}: global={report.max_global_skew!r} "
               f"neighbor={report.gradient_profile.get(1, 0.0)!r}")
+    for path, text in summaries:
+        _write(path, text)
     _write(out / "aggregate.csv", "\n".join(rows) + "\n")
     print(f"wrote {out / 'aggregate.csv'} ({len(points)} points)")
     return 0

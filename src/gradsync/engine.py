@@ -26,7 +26,7 @@ import numpy as np
 
 from . import topology as topo_mod
 from .clocks import DRIFT_MODES, HardwareClock, make_drift_schedule
-from .metrics import NodeHistory, Trace, TraceEvent, sample_history
+from .metrics import NodeHistory, Trace, TraceEvent
 from .protocol import (
     VARIANTS,
     ProtocolParams,
@@ -194,6 +194,9 @@ class CommSchedule:
         return times[order], src[order], dst[order]
 
 
+_GAP_CHUNK = 4096
+
+
 def _capped_step(t: float, gap: float, cap: float) -> float:
     """t + gap, nudged down by ulps until the float difference is <= cap."""
     nxt = t + gap
@@ -243,16 +246,21 @@ def generate_schedule(
             raise ConfigError(
                 [f"gap_min must lie in [0, max_gap), got {low} with max_gap {max_gap}"]
             )
+        # Gaps are drawn a chunk at a time: a vector draw yields the same
+        # values as that many scalar draws. A chunk covers the horizon at the
+        # mean gap, with a margin, up to _GAP_CHUNK draws; draws past the
+        # horizon are discarded.
+        chunk = min(int(2.0 * horizon / (max_gap + low)) + 16, _GAP_CHUNK)
         for src, dst in topology.directed_edges():
             rng = np.random.default_rng((seed, 0x5C4ED, src, dst))
             times = []
             t = 0.0
-            while True:
-                gap = max_gap - rng.uniform(0.0, max_gap - low)
-                t = _capped_step(t, gap, max_gap)
-                if t > horizon:
-                    break
-                times.append(t)
+            while t <= horizon:
+                for u in rng.uniform(0.0, max_gap - low, size=chunk).tolist():
+                    t = _capped_step(t, max_gap - u, max_gap)
+                    if t > horizon:
+                        break
+                    times.append(t)
             sends[(src, dst)] = tuple(times)
     elif mode == "scripted":
         if scripted is None:
@@ -555,6 +563,7 @@ def run(config: RunConfig) -> Trace:
     hist_times: list[list[float]] = [[] for _ in range(n)]
     hist_values: list[list[float]] = [[] for _ in range(n)]
     hist_factors: list[list[float]] = [[] for _ in range(n)]
+    hist_hardware: list[list[float]] = [[] for _ in range(n)]
     event_log: list[TraceEvent] = []
     reduced_open: dict[tuple[int, int], float] = {}
     reduced_done: dict[tuple[int, int], list[tuple[float, float]]] = {}
@@ -563,6 +572,7 @@ def run(config: RunConfig) -> Trace:
         hist_times[node].append(t)
         hist_values[node].append(states[node].l_base)
         hist_factors[node].append(factor_of(states[node]))
+        hist_hardware[node].append(states[node].h_base)
 
     # Local aliases, taken per run so that rebinding the module names
     # (as the benchmark's tracer does) still takes effect.
@@ -612,16 +622,12 @@ def run(config: RunConfig) -> Trace:
     for key, opened in sorted(reduced_open.items()):
         reduced_done.setdefault(key, []).append((opened, horizon))
 
-    grid = sample_grid(times, clocks, horizon)
     history = tuple(
-        NodeHistory(times=np.array(ht), values=np.array(hv), factors=np.array(hf))
-        for ht, hv, hf in zip(hist_times, hist_values, hist_factors)
+        NodeHistory(
+            times=np.array(ht), values=np.array(hv), factors=np.array(hf), hardware=np.array(hh)
+        )
+        for ht, hv, hf, hh in zip(hist_times, hist_values, hist_factors, hist_hardware)
     )
-    logical, alphas = sample_history(history, clocks, grid)
-    rates = np.empty_like(alphas)
-    for i, clock in enumerate(clocks):
-        np.multiply(alphas[i], clock.rate_at(grid, side="right"), out=rates[i])
-    rates[:, -1] = np.nan
 
     return Trace(
         config=config,
@@ -629,10 +635,7 @@ def run(config: RunConfig) -> Trace:
         diameter_bound=setup.diameter_bound,
         effective_skew_threshold=params.skew_threshold,
         horizon=horizon,
-        sample_times=grid,
-        logical=logical,
-        rates=rates,
-        alphas=alphas,
+        sample_times=sample_grid(times, clocks, horizon),
         start_times=start_times,
         events=tuple(event_log),
         reduced_intervals={k: tuple(iv) for k, iv in sorted(reduced_done.items())},

@@ -1,10 +1,13 @@
 """Skew measurement and bound verdicts over recorded traces.
 
-A Trace samples every node's logical clock at every instant where anything
-can change: event times, drift breakpoints, run start, and the horizon.
-Between consecutive samples every logical clock is linear in real time, so
-skew maxima over the whole run are attained at sample points and the
-reported statistics are exact, not approximations.
+A Trace holds each node's rebase history and hardware clock, which
+determine its logical clock exactly, and a sample grid of every instant
+where anything can change: event times, drift breakpoints, run start, and
+the horizon. Between consecutive samples every logical clock is linear in
+real time, so skew maxima over the whole run are attained at sample points
+and the reported statistics are exact, not approximations. The report and
+the CSV writer evaluate logical values on the grid from the history block
+by block, so neither holds a nodes x samples array.
 """
 
 from __future__ import annotations
@@ -65,20 +68,23 @@ class TraceEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class NodeHistory:
-    """Rebase points of one node: at times[k] the logical clock was values[k]
-    and advanced with factor factors[k] afterwards."""
+    """Rebase points of one node: at times[k] the logical clock was values[k],
+    its hardware clock read hardware[k], and it advanced with factor
+    factors[k] afterwards."""
 
     times: np.ndarray
     values: np.ndarray
     factors: np.ndarray
+    hardware: np.ndarray
 
 
 @dataclass(frozen=True)
 class Trace:
     """Full record of one run.
 
-    sample_times is strictly increasing; logical, rates and alphas hold one
-    row per node and one column per sample, NaN before the node started.
+    sample_times is strictly increasing. history and clocks are the only
+    form of the clock values: logical, rates and alphas derive one row per
+    node and one column per sample from them, NaN before the node started.
     """
 
     config: "RunConfig"
@@ -87,51 +93,79 @@ class Trace:
     effective_skew_threshold: float
     horizon: float
     sample_times: np.ndarray
-    logical: np.ndarray
-    rates: np.ndarray
-    alphas: np.ndarray
     start_times: np.ndarray
     events: tuple[TraceEvent, ...]
     reduced_intervals: dict
     clocks: tuple["HardwareClock", ...]
-    history: tuple[NodeHistory, ...] | None = None
+    history: tuple[NodeHistory, ...]
 
     @property
     def node_count(self) -> int:
-        return self.logical.shape[0]
+        return self.topology.node_count
 
     def evaluate_logical(self, times) -> np.ndarray:
-        """Exact logical values at arbitrary real times in [0, horizon].
+        """Exact logical values at non-decreasing real times in [0, horizon]."""
+        return sample_history(self.history, self.clocks, times, factors=False)[0]
 
-        Needs the run history; traces rebuilt from serialized form cannot
-        be densely evaluated.
-        """
-        if self.history is None:
-            raise ValueError("trace carries no history; dense evaluation unavailable")
-        return sample_history(self.history, self.clocks, times)[0]
+    # The dense views below build a nodes x samples array on every access;
+    # they are for tests and demos. The report and the CSV writer evaluate
+    # the samples they need block by block instead.
+
+    @property
+    def logical(self) -> np.ndarray:
+        return self.evaluate_logical(self.sample_times)
+
+    @property
+    def alphas(self) -> np.ndarray:
+        return sample_history(self.history, self.clocks, self.sample_times)[1]
+
+    @property
+    def rates(self) -> np.ndarray:
+        """Forward logical rate on each sample's interval; NaN at the final
+        sample, which has no forward interval."""
+        rates = _rates(self.alphas, self.clocks, self.sample_times)
+        rates[:, -1] = np.nan
+        return rates
 
 
-def sample_history(history, clocks, times) -> tuple[np.ndarray, np.ndarray]:
-    """Logical values and rate factors of every node at real times `times`.
+def sample_history(
+    history, clocks, times, factors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Logical values and rate factors of every node at real times `times`;
+    the factors are None when not asked for.
 
-    One row per node, NaN before the node's first rebase point. Between
-    rebase points a logical clock is linear in hardware time, so the values
-    are exact.
+    times must be non-decreasing. One row per node, NaN before the node's
+    first rebase point. Between rebase points a logical clock is linear in
+    hardware time, so the values are exact.
     """
     ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or np.any(ts[1:] < ts[:-1]):
+        raise ValueError("sample times must be a non-decreasing 1-d sequence")
     logical = np.full((len(history), ts.size), np.nan)
-    alphas = np.full((len(history), ts.size), np.nan)
+    alphas = np.full((len(history), ts.size), np.nan) if factors else None
     for i, (hist, clock) in enumerate(zip(history, clocks)):
         if hist.times.size == 0:
             continue
-        idx = np.searchsorted(hist.times, ts, side="right") - 1
-        mask = idx >= 0
-        base = idx[mask]
-        h_now = clock.hardware_time(ts[mask])
-        h_base = clock.hardware_time(hist.times[base])
-        logical[i, mask] = hist.values[base] + hist.factors[base] * (h_now - h_base)
-        alphas[i, mask] = hist.factors[base]
+        first = int(np.searchsorted(ts, hist.times[0], side="left"))
+        if first == ts.size:
+            continue
+        now = ts[first:]
+        base = np.searchsorted(hist.times, now, side="right") - 1
+        alpha = hist.factors[base]
+        logical[i, first:] = hist.values[base] + alpha * (
+            clock.hardware_time(now) - hist.hardware[base]
+        )
+        if factors:
+            alphas[i, first:] = alpha
     return logical, alphas
+
+
+def _rates(alphas: np.ndarray, clocks, times: np.ndarray) -> np.ndarray:
+    """alphas times each node's clock rate at times."""
+    rates = np.empty_like(alphas)
+    for i, clock in enumerate(clocks):
+        np.multiply(alphas[i], clock.rate_at(times, side="right"), out=rates[i])
+    return rates
 
 
 class GlobalSkew(NamedTuple):
@@ -192,20 +226,54 @@ class SkewReport:
     warmup: float
 
 
-# Samples per column block of the pairwise and global reductions. The
-# pairwise scratch buffer is (n - 1) x _BLOCK floats, small enough to stay
-# in cache at sensor-field sizes (0.6 MB at n = 80) and independent of the
-# number of samples.
-_BLOCK = 1024
+# Samples evaluated from the history at a time: each evaluated block is
+# nodes x _EVAL_BLOCK floats (2.6 MB at n = 80), independent of the run's
+# length.
+_EVAL_BLOCK = 4096
+# Columns per pairwise sub-block. The pairwise scratch buffer is
+# (n - 1) x _PAIR_BLOCK floats, small enough to stay in cache at
+# sensor-field sizes (0.6 MB at n = 80).
+_PAIR_BLOCK = 1024
+# Samples rendered to CSV at a time. Every row is a Python string, so this
+# block is smaller: 1024 samples of 50 nodes peak at about 23 MB of row
+# text and values (65 MB at 4096), at the same speed.
+_CSV_BLOCK = 1024
 
 
-def _column_blocks(trace: Trace, warmup: float):
-    """(first sample index, view of the logical values) per block of the
-    samples at or after warmup."""
-    total = trace.sample_times.size
-    first = int(np.searchsorted(trace.sample_times, warmup, side="left"))
-    for s0 in range(first, total, _BLOCK):
-        yield s0, trace.logical[:, s0 : min(s0 + _BLOCK, total)]
+def _warm_blocks(times: np.ndarray, warmup: float, evaluate):
+    """(sample times, evaluate(sample times)) per block of the samples at or
+    after warmup; times is strictly increasing."""
+    first = int(np.searchsorted(times, warmup, side="left"))
+    for s0 in range(first, times.size, _EVAL_BLOCK):
+        block = times[s0 : s0 + _EVAL_BLOCK]
+        yield block, evaluate(block)
+
+
+def _trace_blocks(trace: Trace, warmup: float):
+    return _warm_blocks(trace.sample_times, warmup, trace.evaluate_logical)
+
+
+_NO_SKEW = GlobalSkew(0.0, (0, 0), 0.0)
+
+
+def _fold_global(best: GlobalSkew, times: np.ndarray, values: np.ndarray) -> GlobalSkew:
+    """best updated with the largest spread of one block of columns.
+
+    Ties go to the earliest sample, and within it to the lowest-numbered
+    extreme nodes; a column with fewer than two started nodes measures
+    nothing. Extremes are reduced in place along the node axis, so no
+    block-sized copy is made.
+    """
+    low = np.fmin.reduce(values, axis=0)
+    high = np.fmax.reduce(values, axis=0)
+    spread = high - low
+    spread[values.shape[0] - np.isnan(values).sum(axis=0) < 2] = -np.inf
+    k = int(spread.argmax())
+    if spread[k] > best.value:
+        column = values[:, k]
+        a, b = int(np.argmax(column == low[k])), int(np.argmax(column == high[k]))
+        return GlobalSkew(float(spread[k]), (min(a, b), max(a, b)), float(times[k]))
+    return best
 
 
 def global_skew(trace: Trace, warmup: float = 0.0) -> GlobalSkew:
@@ -215,47 +283,44 @@ def global_skew(trace: Trace, warmup: float = 0.0) -> GlobalSkew:
     started; before that a node has no logical clock. Ties go to the
     earliest sample, and within it to the lowest-numbered extreme nodes.
     """
-    best = GlobalSkew(0.0, (0, 0), 0.0)
-    for s0, values in _column_blocks(trace, warmup):
-        unstarted = np.isnan(values)
-        masked = np.where(unstarted, np.inf, values)
-        lo = masked.argmin(axis=0)
-        masked[unstarted] = -np.inf
-        hi = masked.argmax(axis=0)
-        cols = np.arange(values.shape[1])
-        spread = values[hi, cols] - values[lo, cols]
-        spread[(~unstarted).sum(axis=0) < 2] = -np.inf
-        k = int(spread.argmax())
-        if spread[k] > best.value:
-            a, b = int(lo[k]), int(hi[k])
-            best = GlobalSkew(
-                float(spread[k]), (min(a, b), max(a, b)), float(trace.sample_times[s0 + k])
-            )
+    best = _NO_SKEW
+    for times, values in _trace_blocks(trace, warmup):
+        best = _fold_global(best, times, values)
+        del values  # freed before the next block is evaluated
     return best
 
 
-def _max_skew_matrix(trace: Trace, warmup: float) -> np.ndarray:
-    """Per-pair max |L_i - L_j| over warm samples; -inf where never measured.
+def _skew_pass(blocks, n: int) -> tuple[GlobalSkew, np.ndarray]:
+    """Global skew and the per-pair max |L_i - L_j| matrix of n nodes, in
+    one pass over blocks of (sample times, logical values).
 
-    Each unordered pair is computed once, in the upper triangle, and
-    mirrored; NaN marks a sample where either node had not started. The
-    diagonal is left at -inf.
+    The matrix is -inf where a pair was never measured. Each unordered pair
+    is computed once, in the upper triangle, and mirrored; NaN marks a
+    sample where either node had not started. The diagonal is left at -inf.
     """
-    n = trace.node_count
+    best = _NO_SKEW
     out = np.full((n, n), np.nan)
-    scratch = np.empty((n - 1, _BLOCK))
-    for _, values in _column_blocks(trace, warmup):
-        width = values.shape[1]
-        for i in range(n - 1):
-            diff = scratch[: n - 1 - i, :width]
-            np.subtract(values[i], values[i + 1 :], out=diff)
-            np.abs(diff, out=diff)
-            row = out[i, i + 1 :]
-            np.fmax(row, np.fmax.reduce(diff, axis=1), out=row)
+    scratch = np.empty((n - 1, _PAIR_BLOCK))
+    for times, values in blocks:
+        best = _fold_global(best, times, values)
+        for c0 in range(0, values.shape[1], _PAIR_BLOCK):
+            sub = values[:, c0 : c0 + _PAIR_BLOCK]
+            width = sub.shape[1]
+            for i in range(n - 1):
+                diff = scratch[: n - 1 - i, :width]
+                np.subtract(sub[i], sub[i + 1 :], out=diff)
+                np.abs(diff, out=diff)
+                row = out[i, i + 1 :]
+                np.fmax(row, np.fmax.reduce(diff, axis=1), out=row)
+        del values, sub  # freed before the next block is evaluated
     out[np.isnan(out)] = -np.inf
     lower = np.tril_indices(n, -1)
     out[lower] = out.T[lower]
-    return out
+    return best, out
+
+
+def _max_skew_matrix(trace: Trace, warmup: float) -> np.ndarray:
+    return _skew_pass(_trace_blocks(trace, warmup), trace.node_count)[1]
 
 
 def _edge_skews(matrix: np.ndarray, topology: "Topology") -> dict:
@@ -291,10 +356,23 @@ def gradient_profile(
 
 def rate_floor(trace: Trace) -> float:
     """Minimum instantaneous logical rate observed on any inter-sample
-    interval of a started node."""
-    forward = trace.rates[:, :-1]
-    finite = forward[~np.isnan(forward)]
-    return float(finite.min()) if finite.size else float("nan")
+    interval of a started node.
+
+    A node's rate changes only at its rebase times and drift breakpoints,
+    and each of those in [start, horizon) is a sample, so the minimum over
+    those points is the minimum over every sample before the horizon.
+    """
+    lowest = math.inf
+    for hist, clock in zip(trace.history, trace.clocks):
+        if hist.times.size == 0:
+            continue
+        breaks = np.asarray(clock.schedule.breakpoints, dtype=float)
+        points = np.concatenate([hist.times, breaks[breaks >= hist.times[0]]])
+        points = points[points < trace.horizon]
+        if points.size:
+            factors = hist.factors[np.searchsorted(hist.times, points, side="right") - 1]
+            lowest = min(lowest, float((factors * clock.rate_at(points, side="right")).min()))
+    return lowest if lowest < math.inf else float("nan")
 
 
 def reduced_rate_stats(trace: Trace) -> ReducedRateStats:
@@ -371,8 +449,7 @@ def compute_report(trace: Trace, warmup: float = 0.0) -> SkewReport:
             [f"warmup {warmup!r} leaves no sample: it must be finite and at most "
              f"the horizon {trace.horizon!r}"]
         )
-    top = global_skew(trace, warmup)
-    matrix = _max_skew_matrix(trace, warmup)
+    top, matrix = _skew_pass(_trace_blocks(trace, warmup), trace.node_count)
     report = SkewReport(
         max_global_skew=top.value,
         attaining_pair=top.pair,
@@ -389,17 +466,17 @@ def compute_report(trace: Trace, warmup: float = 0.0) -> SkewReport:
     return replace(report, bound_verdicts=bound_checks(report, trace.config))
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def trace_csv_text(trace: Trace) -> str:
+def trace_csv_text(trace: Trace, out=None) -> str | None:
     """Stable CSV rendering: one row per (sample time, node).
 
     Columns: time,node,logical,rate,alpha,event_kind. Fields of a node
     that has not started yet are left empty, as is the rate at the final
     sample (it has no forward interval). event_kind joins whatever applies
     to that node at that instant: start, recv, send, drift.
+
+    Rows are rendered from the history _CSV_BLOCK samples at a time. Given
+    a text file out, each block is written to it as soon as it is rendered
+    and None is returned; otherwise the whole text is returned.
     """
     kinds: dict[tuple[float, int], list[str]] = {}
 
@@ -421,23 +498,30 @@ def trace_csv_text(trace: Trace) -> str:
         if t == 0.0:
             add_kind(0.0, node, "start")
 
-    lines = ["time,node,logical,rate,alpha,event_kind"]
-    for col, t in enumerate(trace.sample_times):
-        t = float(t)
-        for node in range(trace.node_count):
-            logical = trace.logical[node, col]
-            if np.isnan(logical):
-                fields = ["", "", ""]
-            else:
-                rate = trace.rates[node, col]
-                fields = [
-                    _fmt(logical),
-                    "" if np.isnan(rate) else _fmt(rate),
-                    _fmt(trace.alphas[node, col]),
-                ]
-            kind = "+".join(kinds.get((t, node), []))
-            lines.append(f"{_fmt(t)},{node},{fields[0]},{fields[1]},{fields[2]},{kind}")
-    return "\n".join(lines) + "\n"
+    chunks: list[str] = []
+    write = chunks.append if out is None else out.write
+    write("time,node,logical,rate,alpha,event_kind\n")
+    total = trace.sample_times.size
+    for s0 in range(0, total, _CSV_BLOCK):
+        times = trace.sample_times[s0 : s0 + _CSV_BLOCK]
+        logical, alphas = sample_history(trace.history, trace.clocks, times)
+        rates = _rates(alphas, trace.clocks, times)
+        if s0 + times.size == total:
+            rates[:, -1] = np.nan
+        lines = []
+        for t, values, rate_row, alpha_row in zip(
+            times.tolist(), logical.T.tolist(), rates.T.tolist(), alphas.T.tolist()
+        ):
+            stamp = repr(t)
+            for node, (value, rate, alpha) in enumerate(zip(values, rate_row, alpha_row)):
+                kind = "+".join(kinds.get((t, node), ()))
+                if value != value:  # not started
+                    lines.append(f"{stamp},{node},,,,{kind}\n")
+                else:
+                    shown = "" if rate != rate else repr(rate)
+                    lines.append(f"{stamp},{node},{value!r},{shown},{alpha!r},{kind}\n")
+        write("".join(lines))
+    return "".join(chunks) if out is None else None
 
 
 def summary_json_text(trace: Trace, report: SkewReport) -> str:

@@ -21,7 +21,22 @@ import numpy as np
 from .engine import ConfigError, RunConfig, resolve, sample_grid
 from .metrics import Trace
 
-__all__ = ["oracle_run", "compare", "Comparison"]
+__all__ = ["oracle_run", "compare", "Comparison", "OracleRun"]
+
+
+@dataclass(frozen=True)
+class OracleRun:
+    """Dense record of a reference run: logical holds one row per node and
+    one column per sample, NaN before the node started."""
+
+    config: RunConfig
+    diameter_bound: int
+    effective_skew_threshold: float
+    horizon: float
+    sample_times: np.ndarray
+    logical: np.ndarray
+    start_times: np.ndarray
+    reduced_intervals: dict
 
 
 @dataclass(frozen=True)
@@ -37,12 +52,12 @@ class Comparison:
         return self.first_exceedance is None
 
 
-def oracle_run(config: RunConfig, dt: float) -> Trace:
+def oracle_run(config: RunConfig, dt: float) -> OracleRun:
     """Re-simulate a config with fixed-step integration.
 
     dt must be positive, finite and at most max_gap / 10. The returned
-    trace uses the same sample grid and conventions as the engine's, so the
-    two can be compared entry by entry.
+    record uses the same sample grid and conventions as the engine's trace,
+    so the two can be compared entry by entry.
     """
     setup = resolve(config)
     if not 0.0 < dt < math.inf:
@@ -118,10 +133,7 @@ def oracle_run(config: RunConfig, dt: float) -> Trace:
 
     grid = sample_grid(times, clocks, horizon)
 
-    S = grid.size
-    logical = np.full((n, S), np.nan)
-    rates = np.full((n, S), np.nan)
-    alphas = np.full((n, S), np.nan)
+    logical = np.full((n, grid.size), np.nan)
     ei = 0
     for col, s in enumerate(grid):
         s = float(s)
@@ -143,39 +155,32 @@ def oracle_run(config: RunConfig, dt: float) -> Trace:
         for i in range(n):
             advance(i, s)
             if started[i]:
-                factor = min(factors[i].values())
                 logical[i, col] = level[i]
-                alphas[i, col] = factor
-                rates[i, col] = factor * clock_rate(i, s)
-    rates[:, -1] = np.nan
 
     for key, opened in sorted(reduced_open.items()):
         reduced_done.setdefault(key, []).append((opened, horizon))
 
-    return Trace(
+    return OracleRun(
         config=config,
-        topology=topology,
         diameter_bound=setup.diameter_bound,
         effective_skew_threshold=threshold,
         horizon=horizon,
         sample_times=grid,
         logical=logical,
-        rates=rates,
-        alphas=alphas,
         start_times=start_times,
-        events=(),
         reduced_intervals={k: tuple(v) for k, v in sorted(reduced_done.items())},
-        clocks=clocks,
-        history=None,
     )
 
 
-def compare(trace_a: Trace, trace_b: Trace, tol: float) -> Comparison:
+def compare(
+    trace_a: "Trace | OracleRun", trace_b: "Trace | OracleRun", tol: float
+) -> Comparison:
     """Max |logical difference| over common samples and nodes.
 
-    Both traces must come from the same config (hence the same schedule
-    and sample grid). A point where one trace has a value and the other
-    does not counts as an infinite deviation.
+    Each side is an engine Trace, evaluated from its history on the sample
+    grid, or an OracleRun. Both must come from the same config (hence the
+    same schedule and sample grid). A point where one side has a value and
+    the other does not counts as an infinite deviation.
     """
     if not 0.0 <= tol < math.inf:
         raise ConfigError([f"tol must be non-negative and finite, got {tol}"])
@@ -183,12 +188,13 @@ def compare(trace_a: Trace, trace_b: Trace, tol: float) -> Comparison:
         raise ValueError("traces come from different configs")
     if not np.array_equal(trace_a.sample_times, trace_b.sample_times):
         raise ValueError("traces have different sample grids")
-    nan_a = np.isnan(trace_a.logical)
-    nan_b = np.isnan(trace_b.logical)
+    logical_a, logical_b = trace_a.logical, trace_b.logical
+    nan_a = np.isnan(logical_a)
+    nan_b = np.isnan(logical_b)
     dev = np.where(
         nan_a & nan_b,
         0.0,
-        np.where(nan_a != nan_b, np.inf, np.abs(trace_a.logical - trace_b.logical)),
+        np.where(nan_a != nan_b, np.inf, np.abs(logical_a - logical_b)),
     )
     max_dev = float(dev.max()) if dev.size else 0.0
     first = None

@@ -4,6 +4,7 @@ them, or stops calling it, would break the traced benchmark; this catches
 it here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import gradsync
@@ -57,3 +58,29 @@ def test_tracer_wraps_every_name_and_restores_it(tmp_path):
     assert calls["clocks.make_drift_schedule"] == 2
     assert calls["protocol.on_receive"] > 0 and calls["protocol.emit_payload"] > 0
     assert calls["protocol.rate_factor"] > 0 and calls["clocks.hardware_time"] > 0
+
+
+def test_sweep_builds_each_topology_once(tmp_path):
+    # each point's config is validated by its own run, so a sweep builds
+    # one topology per run
+    spec = {
+        "base": {"preset": "wait_chain"},
+        "parameter": "diameter",
+        "values": [4, 8],
+        "variants": ["gradient", "no_slowdown"],
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    tracer_mod = load_tracer()
+    tracer = tracer_mod.Tracer()
+    tracer.begin_op(1)
+    tracer.install(gradsync)
+    try:
+        code = gradsync.cli.main(["sweep", "--sweep", str(path), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    tracer.end_op()
+    assert code == 0
+    spans = [span["name"] for span in tracer.op_spans(1)]
+    assert spans.count("engine.run") == 4
+    assert spans.count("topology.build") == 4

@@ -372,6 +372,19 @@ class TestSweep:
         assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_point_refused_by_its_run_leaves_nothing_written(self, tmp_path, capsys):
+        # the second threshold exceeds (1 + drift_bound) * max_gap; the first
+        # point has already run when its refusal comes
+        path = self.sweep_spec(
+            tmp_path, parameter="skew_threshold", values=[1.0, 5.0], variants=["gradient"]
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        assert "point skew_threshold=5.0 variant=gradient: skew_threshold 5.0 exceeds" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_seed_sweep_on_plain_config(self, tmp_path):
         base = config_to_dict(build_wait_chain_scenario(4, 0.1, 1.0, 1.0))
         spec = {

@@ -2,10 +2,15 @@
 
 Each case hashes three parts of a run: the event log (every field of every
 record, by repr, so a change of value or of scalar type shows), the
-per-node rebase history, and the sample grid with the dense logical
-matrix. The digests were recorded before the event loop moved to in-place
+per-node rebase history, and the sample grid with the logical values on
+it. The digests were recorded before the event loop moved to in-place
 protocol state, columnar event order and precomputed hardware times, and
 any later change to the hot path must reproduce them exactly.
+
+The files `gradsync run` writes for each preset are pinned the same way;
+those digests were recorded while the run still held dense n x samples
+matrices, before the report and the CSV writer derived their values from
+the rebase history.
 """
 
 import hashlib
@@ -13,6 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from gradsync.cli import main
 from gradsync.engine import build_wait_chain_scenario, run
 from gradsync.presets import preset
 
@@ -97,3 +103,36 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_run_matches_golden_digests(name):
     assert digests(run(_case(name))) == GOLDEN[name]
+
+
+OUTPUT_GOLDEN = {
+    "drifting_chain": {
+        "trace.csv": "f731647a99d4c65b8dbeef4afc0e851deae22fe88db6c17bc06aed60920a5df8",
+        "summary.json": "b4d3237b45a61067a143633e0256f383ad76e48cc16b8f0f34d5d2306a4ebe47",
+    },
+    "random_geometric": {
+        "trace.csv": "a0b23d39488365501e257393181d293c62b2eaa4f697b8aeb1fb06859a51c70e",
+        "summary.json": "a8b6da32a210834f1569469e82ff2048b89934b53dfc59656869cc7affbd836a",
+    },
+    "startup_chain": {
+        "trace.csv": "2bf9c1c09a433858b8aaaf0c9849f3205e8d2182d19398e02377b2dd86f981c0",
+        "summary.json": "4a0890059377540beace3679bbf273c2dfbce0cefa3ae1df2f000ae70cc1e254",
+    },
+    "two_node": {
+        "trace.csv": "25077d9f94c58362b8f365d00f6122d221fc30d961ace62a9ccf6f4f654e25c7",
+        "summary.json": "727ba1bd137dbbc8d5fa6abf59ca9db27763b10485c7cd71e40edc3a6eb00732",
+    },
+    "wait_chain": {
+        "trace.csv": "0943cb4fa1e6097631909355d1c185a80d07474e65758dfa50eb239a69d3f5cd",
+        "summary.json": "ac0bb0f5680314b181b703aaebb26d4666fdef4d9f10b00a397e0fae7361d131",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_GOLDEN))
+def test_run_outputs_match_golden_digests(name, tmp_path):
+    assert main(["run", "--preset", name, "--out", str(tmp_path)]) == 0
+    assert {
+        file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+        for file in OUTPUT_GOLDEN[name]
+    } == OUTPUT_GOLDEN[name]

@@ -1,5 +1,6 @@
 import json
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gradsync import metrics
 from gradsync.metrics import (
     GlobalSkew,
     SkewReport,
+    Trace,
     bound_checks,
     compute_report,
     global_skew,
@@ -92,6 +94,38 @@ class TestRateFloor:
     def test_zero_drift_unit_rate(self):
         trace = symmetric_run()
         assert rate_floor(trace) == 1.0
+
+    # The presets and the D = 16 wait chain are checked against the dense
+    # floor in TestReportMatchesReference, through min_rate.
+    @pytest.mark.parametrize(
+        "horizon",
+        [
+            4.0,  # sends, rebases and a start land on the horizon
+            2.0,  # the last node starts at the horizon: no forward interval
+            0.5,  # nothing is received: the initiator alone sets the floor
+        ],
+    )
+    def test_matches_dense_floor_at_the_horizon(self, horizon):
+        trace = run(
+            RunConfig(
+                topology=TopologySpec(kind="chain", n=3),
+                drift_bound=0.1,
+                max_gap=1.0,
+                skew_threshold=1.0,
+                horizon=horizon,
+                drift_mode="piecewise_random",
+                drift_dwell=0.3,
+                seed=3,
+            )
+        )
+        assert rate_floor(trace) == reference_rate_floor(trace)
+
+    def test_slowdown_at_the_horizon_is_not_a_rate(self):
+        # the wait chain's first slowdown begins at t = 4; ending the run
+        # there leaves the reduced factor no forward interval to run on
+        trace = run(build_wait_chain_scenario(4, 0.1, 1.0, 1.0, horizon=4.0))
+        assert trace.reduced_intervals == {(1, 2): ((4.0, 4.0),)}
+        assert rate_floor(trace) == reference_rate_floor(trace) == 1.0 - 0.1
 
 
 class TestReducedRateStats:
@@ -199,6 +233,36 @@ def test_dense_sampling_agrees_with_breakpoint_sampling():
     assert abs(dense_max - sampled) <= 2 * (1 + 0.1) * step
 
 
+def test_run_and_report_hold_no_dense_matrix():
+    # A random field with many more samples than nodes: the run and its
+    # report together must never hold as much as one nodes x samples float
+    # matrix, so neither can build one.
+    config = RunConfig(
+        topology=TopologySpec(kind="random_geometric", n=100, radius=0.2, seed=11),
+        drift_bound=0.1,
+        max_gap=1.0,
+        skew_threshold=1.0,
+        horizon=16.0,
+        drift_mode="piecewise_random",
+        schedule_mode="random_uniform",
+        seed=3,
+    )
+    compute_report(run(preset("two_node")))  # leave lazy imports out of the count
+    tracemalloc.start()
+    try:
+        trace = run(config)
+        compute_report(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, samples = trace.node_count, trace.sample_times.size
+    assert samples > 100 * n
+    assert peak < n * samples * 8
+    for field in fields(Trace):
+        value = getattr(trace, field.name)
+        assert not (isinstance(value, np.ndarray) and value.ndim > 1), field.name
+
+
 def test_warmup_excludes_startup():
     cfg = build_wait_chain_scenario(8, 0.1, 1.0, 1.0, variant="no_slowdown")
     trace = run(cfg)
@@ -238,15 +302,15 @@ class TestSerialization:
 
 
 # Reference report kernel: the per-column loop and the chunked all-pairs
-# matrix that the blocked reductions in gradsync.metrics replaced. The
-# blocked code performs the same float operations per element, so every
-# report field must match exactly.
+# matrix that the blocked reductions in gradsync.metrics replaced, run on a
+# dense nodes x samples matrix. The blocked code performs the same float
+# operations per element, so every report field must match exactly.
 
 
-def reference_global_skew(trace, warmup=0.0):
+def reference_global_skew(sample_times, logical, warmup=0.0):
     best = GlobalSkew(0.0, (0, 0), 0.0)
-    for col in np.nonzero(trace.sample_times >= warmup)[0]:
-        values = trace.logical[:, col]
+    for col in np.nonzero(sample_times >= warmup)[0]:
+        values = logical[:, col]
         live = np.nonzero(~np.isnan(values))[0]
         if live.size < 2:
             continue
@@ -255,17 +319,17 @@ def reference_global_skew(trace, warmup=0.0):
         spread = float(values[hi] - values[lo])
         if spread > best.value:
             pair = (int(lo), int(hi)) if lo < hi else (int(hi), int(lo))
-            best = GlobalSkew(spread, pair, float(trace.sample_times[col]))
+            best = GlobalSkew(spread, pair, float(sample_times[col]))
     return best
 
 
-def reference_max_skew_matrix(trace, warmup=0.0):
-    cols = np.nonzero(trace.sample_times >= warmup)[0]
-    n = trace.node_count
+def reference_max_skew_matrix(sample_times, logical, warmup=0.0):
+    cols = np.nonzero(sample_times >= warmup)[0]
+    n = logical.shape[0]
     out = np.full((n, n), -np.inf)
     if cols.size == 0:
         return out
-    values = trace.logical[:, cols]
+    values = logical[:, cols]
     chunk = max(1, 2_000_000 // max(1, n * n))
     for s0 in range(0, values.shape[1], chunk):
         block = values[:, s0 : s0 + chunk]
@@ -275,11 +339,7 @@ def reference_max_skew_matrix(trace, warmup=0.0):
     return out
 
 
-def reference_report(trace, warmup=0.0):
-    report = compute_report(trace, warmup)
-    top = reference_global_skew(trace, warmup)
-    matrix = reference_max_skew_matrix(trace, warmup)
-    topo = trace.topology
+def reference_edges_and_profile(matrix, topo):
     per_edge = {
         (i, j): float(matrix[i, j]) if np.isfinite(matrix[i, j]) else 0.0
         for i, j in topo.undirected_edges()
@@ -289,6 +349,15 @@ def reference_report(trace, warmup=0.0):
         values = matrix[topo.distances == k]
         finite = values[np.isfinite(values)]
         profile[k] = float(finite.max()) if finite.size else 0.0
+    return per_edge, profile
+
+
+def reference_report(trace, warmup=0.0):
+    report = compute_report(trace, warmup)
+    logical = trace.logical
+    top = reference_global_skew(trace.sample_times, logical, warmup)
+    matrix = reference_max_skew_matrix(trace.sample_times, logical, warmup)
+    per_edge, profile = reference_edges_and_profile(matrix, trace.topology)
     expected = replace(
         report,
         max_global_skew=top.value,
@@ -296,13 +365,25 @@ def reference_report(trace, warmup=0.0):
         attaining_time=top.time,
         per_edge_max_skew=per_edge,
         gradient_profile=profile,
+        min_rate=reference_rate_floor(trace),
     )
     return replace(expected, bound_verdicts=bound_checks(expected, trace.config))
+
+
+def reference_rate_floor(trace):
+    """The minimum over every dense sample before the horizon, as the report
+    took it while the run held a dense rates matrix."""
+    forward = trace.rates[:, :-1]
+    finite = forward[~np.isnan(forward)]
+    return float(finite.min()) if finite.size else float("nan")
 
 
 def assert_report_matches_reference(trace, warmup=0.0):
     report = compute_report(trace, warmup)
     assert report == reference_report(trace, warmup)
+    assert global_skew(trace, warmup) == (
+        report.max_global_skew, report.attaining_pair, report.attaining_time
+    )
     assert per_edge_max_skew(trace, warmup=warmup) == report.per_edge_max_skew
     assert gradient_profile(trace, warmup=warmup) == report.gradient_profile
 
@@ -331,19 +412,25 @@ class TestReportMatchesReference:
 
     def test_more_samples_than_one_block(self):
         trace = run(replace(preset("random_geometric"), seed=3))
-        assert trace.sample_times.size > 3 * metrics._BLOCK
+        assert trace.sample_times.size > 3 * metrics._EVAL_BLOCK
         # a warm-up that starts the first block off a block boundary
-        assert_report_matches_reference(trace, float(trace.sample_times[metrics._BLOCK + 7]))
+        assert_report_matches_reference(
+            trace, float(trace.sample_times[metrics._EVAL_BLOCK + 7])
+        )
 
     @pytest.mark.parametrize("block", [1, 4, 7])
     def test_unstarted_cells_and_ties_across_blocks(self, monkeypatch, block):
-        # small integer values make equal spreads and equal extremes common,
-        # so tie-breaking is checked within a column and across blocks
-        monkeypatch.setattr(metrics, "_BLOCK", block)
-        base = symmetric_run()
+        # The block reducer is fed a synthetic dense matrix, one evaluated
+        # block at a time, with unstarted cells that no rebase history can
+        # produce (a node stopping and restarting). Small integer values make
+        # equal spreads and equal extremes common, so tie-breaking is checked
+        # within a column and across blocks and pairwise sub-blocks.
+        monkeypatch.setattr(metrics, "_EVAL_BLOCK", block)
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", max(1, block // 2))
+        topo = symmetric_run().topology
         rng = np.random.default_rng(5)
         samples = 40
-        logical = rng.integers(0, 4, size=(base.node_count, samples)).astype(float)
+        logical = rng.integers(0, 4, size=(topo.node_count, samples)).astype(float)
         logical[rng.random(logical.shape) < 0.3] = np.nan
         logical[:, :6] = np.nan  # nobody has started
         logical[2, 3:6] = 1.0  # a single started node has no pair to measure
@@ -352,6 +439,18 @@ class TestReportMatchesReference:
         # attains the largest spread
         logical[:, 22] = np.nan
         logical[0:2, 23] = (0.0, 3.0)
-        trace = replace(base, logical=logical, sample_times=np.arange(samples) * 0.5)
+        sample_times = np.arange(samples) * 0.5
+
+        def evaluate(times):
+            return logical[:, np.searchsorted(sample_times, times)]
+
         for warmup in (0.0, 3.25, 11.0):
-            assert_report_matches_reference(trace, warmup)
+            blocks = metrics._warm_blocks(sample_times, warmup, evaluate)
+            top, matrix = metrics._skew_pass(blocks, topo.node_count)
+            assert top == reference_global_skew(sample_times, logical, warmup)
+            expected = reference_max_skew_matrix(sample_times, logical, warmup)
+            pairs = ~np.eye(topo.node_count, dtype=bool)
+            assert np.array_equal(matrix[pairs], expected[pairs])
+            assert (metrics._edge_skews(matrix, topo), metrics._profile(matrix, topo)) == (
+                reference_edges_and_profile(expected, topo)
+            )

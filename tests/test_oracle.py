@@ -40,16 +40,20 @@ def test_identical_traces_compare_to_zero():
 
 
 def test_corrupted_trace_locates_first_exceedance():
+    # node 1's clock is offset by 1 from its k-th rebase point on, so the
+    # first sample where it differs is that rebase time
     trace = run(preset("startup_chain"))
-    logical = trace.logical.copy()
-    col = trace.sample_times.size // 2
-    logical[1, col] += 1.0
-    broken = replace(trace, logical=logical)
+    hist = trace.history[1]
+    k = hist.times.size // 2
+    values = hist.values.copy()
+    values[k:] += 1.0
+    history = trace.history[:1] + (replace(hist, values=values),) + trace.history[2:]
+    broken = replace(trace, history=history)
     dev = compare(trace, broken, 1e-6)
     assert not dev.passed
     t, node, amount = dev.first_exceedance
     assert node == 1
-    assert t == trace.sample_times[col]
+    assert t == hist.times[k]
     assert amount == pytest.approx(1.0)
 
 
