@@ -44,6 +44,7 @@ __all__ = [
     "CommSchedule",
     "ConfigError",
     "SCHEDULE_MODES",
+    "WORKLOAD_CAP",
     "generate_schedule",
     "validate_config",
     "resolve",
@@ -58,6 +59,11 @@ __all__ = [
 ]
 
 SCHEDULE_MODES = ("periodic", "random_uniform", "scripted")
+
+# Most sends plus drift segments a config may be estimated to take. A run
+# holds a few hundred bytes per event, so this cap is a few GB and minutes
+# of CPU; the presets and the benchmark workloads estimate below 7e4.
+WORKLOAD_CAP = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -447,7 +453,36 @@ def _validate(config: RunConfig):
                     )
                 except ConfigError as exc:
                     v.extend(exc.violations)
+        if not v:
+            work = _workload_estimate(config, topology, horizon)
+            if work > WORKLOAD_CAP:
+                v.append(
+                    f"workload of about {work:.3g} sends and drift segments over "
+                    f"horizon {horizon!r} exceeds the cap of {WORKLOAD_CAP:,}: "
+                    "shorten the horizon or lengthen max_gap or drift.dwell"
+                )
     return v, topology, horizon
+
+
+def _workload_estimate(config: RunConfig, topology, horizon: float) -> float:
+    """Sends plus drift segments of a valid config, estimated before either
+    is built.
+
+    Every directed edge sends about horizon / gap times, where gap is
+    max_gap for periodic sends and the mean gap (gap_min + max_gap) / 2 for
+    random ones, whose smallest gap may be 0; a scripted schedule counts
+    its sends. Random drift has a segment per dwell on every node.
+    """
+    if config.schedule_mode == "scripted":
+        sends = float(sum(len(times) for times in config.scripted_sends.values()))
+    else:
+        gap = config.max_gap
+        if config.schedule_mode == "random_uniform":
+            low = config.max_gap / 4.0 if config.gap_min is None else config.gap_min
+            gap = (low + config.max_gap) / 2.0
+        sends = len(topology.directed_edges()) * horizon / gap
+    segments = horizon / config.drift_dwell if config.drift_mode == "piecewise_random" else 1.0
+    return sends + topology.node_count * math.ceil(segments)
 
 
 def _drift_schedule(config: RunConfig, node: int, horizon: float):

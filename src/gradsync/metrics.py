@@ -8,6 +8,15 @@ real time, so skew maxima over the whole run are attained at sample points
 and the reported statistics are exact, not approximations. The report and
 the CSV writer evaluate logical values on the grid from the history block
 by block, so neither holds a nodes x samples array.
+
+The pair maxima (per edge, and per hop distance) are not taken over every
+pair at every sample. Per sub-block of samples each node's clock, less the
+lowest clock of each sample, has a highest and a lowest value; together
+they bound every pair's skew over the sub-block. A pair is evaluated
+exactly only where that bound, plus a rounding slack derived in
+_report_pass, exceeds the running maximum the pair contributes to, so the
+skipped pairs cannot change any reported value and the result is the same
+float as the all-pairs maximum.
 """
 
 from __future__ import annotations
@@ -230,10 +239,14 @@ class SkewReport:
 # nodes x _EVAL_BLOCK floats (2.6 MB at n = 80), independent of the run's
 # length.
 _EVAL_BLOCK = 4096
-# Columns per pairwise sub-block. The pairwise scratch buffer is
-# (n - 1) x _PAIR_BLOCK floats, small enough to stay in cache at
-# sensor-field sizes (0.6 MB at n = 80).
-_PAIR_BLOCK = 1024
+# Columns per bound sub-block: the pass bounds every pair's skew over this
+# many samples at once and evaluates only the pairs whose bound can still
+# raise a reported maximum.
+_BOUND_BLOCK = 256
+# Slack added to each pair bound, in units of eps times the sub-block's
+# largest |L|; _report_pass derives it.
+_SLACK_EPS = 8.0
+_EPS = float(np.finfo(float).eps)
 # Samples rendered to CSV at a time. Every row is a Python string, so this
 # block is smaller: 1024 samples of 50 nodes peak at about 23 MB of row
 # text and values (65 MB at 4096), at the same speed.
@@ -250,22 +263,41 @@ def _warm_blocks(times: np.ndarray, warmup: float, evaluate):
 
 
 def _trace_blocks(trace: Trace, warmup: float):
+    """The trace's warm sample blocks, as _warm_blocks yields them.
+
+    Raises ConfigError if warmup is not finite or lies past the horizon,
+    where no sample would be measured and every skew would read 0.
+    """
+    if not (math.isfinite(warmup) and warmup <= trace.horizon):
+        from .engine import ConfigError
+
+        raise ConfigError(
+            [f"warmup {warmup!r} leaves no sample: it must be finite and at most "
+             f"the horizon {trace.horizon!r}"]
+        )
     return _warm_blocks(trace.sample_times, warmup, trace.evaluate_logical)
 
 
 _NO_SKEW = GlobalSkew(0.0, (0, 0), 0.0)
 
 
-def _fold_global(best: GlobalSkew, times: np.ndarray, values: np.ndarray) -> GlobalSkew:
-    """best updated with the largest spread of one block of columns.
+def _column_range(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest and highest started value of each column, NaN where no node
+    has started; reduced in place along the node axis, so no block-sized
+    copy is made."""
+    return np.fmin.reduce(values, axis=0), np.fmax.reduce(values, axis=0)
+
+
+def _fold_global(
+    best: GlobalSkew, times: np.ndarray, values: np.ndarray, low, high
+) -> GlobalSkew:
+    """best updated with the largest spread of one block of columns, whose
+    _column_range is (low, high).
 
     Ties go to the earliest sample, and within it to the lowest-numbered
     extreme nodes; a column with fewer than two started nodes measures
-    nothing. Extremes are reduced in place along the node axis, so no
-    block-sized copy is made.
+    nothing.
     """
-    low = np.fmin.reduce(values, axis=0)
-    high = np.fmax.reduce(values, axis=0)
     spread = high - low
     spread[values.shape[0] - np.isnan(values).sum(axis=0) < 2] = -np.inf
     k = int(spread.argmax())
@@ -285,73 +317,96 @@ def global_skew(trace: Trace, warmup: float = 0.0) -> GlobalSkew:
     """
     best = _NO_SKEW
     for times, values in _trace_blocks(trace, warmup):
-        best = _fold_global(best, times, values)
+        best = _fold_global(best, times, values, *_column_range(values))
         del values  # freed before the next block is evaluated
     return best
 
 
-def _skew_pass(blocks, n: int) -> tuple[GlobalSkew, np.ndarray]:
-    """Global skew and the per-pair max |L_i - L_j| matrix of n nodes, in
+def _measured(value) -> float:
+    """A running maximum as reported: 0.0 where nothing was measured."""
+    return float(value) if value > -np.inf else 0.0
+
+
+def _report_pass(blocks, topology: "Topology") -> tuple[GlobalSkew, dict, dict]:
+    """Global skew, per-edge max skews and the max skew per hop distance, in
     one pass over blocks of (sample times, logical values).
 
-    The matrix is -inf where a pair was never measured. Each unordered pair
-    is computed once, in the upper triangle, and mirrored; NaN marks a
-    sample where either node had not started. The diagonal is left at -inf.
+    Every pair i < j has a running maximum slot: its own for an edge, its
+    hop distance's for any other pair. Each block is cut into sub-blocks of
+    _BOUND_BLOCK columns. With R the lowest started value of a column,
+    up_i = max(L_i - R) and lo_i = min(L_i - R) over the sub-block bound
+    every |L_i - L_j| there by b = max(up_i - lo_j, up_j - lo_i), and a pair
+    is evaluated exactly, as fmax of abs(fl(L_i - L_j)) over the columns
+    where both nodes have started, only if fl(b + s) exceeds its slot's
+    running maximum. A skipped pair cannot change a reported value, so the
+    result is the all-pairs maximum, bit for bit.
+
+    The slack s = _SLACK_EPS * eps * A, with A the sub-block's largest |L|,
+    covers the rounding. With u = eps / 2, x = L_i >= y = L_j >= r = R in a
+    column, all of magnitude at most A: fl(x - r) and fl(y - r) lie in
+    [0, 2A(1 + u)] and are each within 2uA of the exact difference, so
+    fl(up_i - lo_j) >= (x - y) - 6uA - 2u^2 A, while the exact evaluation
+    fl(x - y) <= (x - y) + 2uA. Hence fl(x - y) <= b + (8u + 2u^2) A, and
+    since b >= 0 rounds to at most 2A(1 + u)^2, fl(b + s) >= fl(x - y)
+    holds once s (1 - u) >= (10u + 6u^2 + 2u^3) A. s = 16uA = 8 eps A meets
+    that with nearly 6uA to spare, which also covers s underflowing (it loses at
+    most 2^-1075); when A is subnormal every subtraction is exact. Float
+    subtraction rounds symmetrically, so x < y is the same case.
+
+    Candidate pairs are evaluated at most n at a time, in order, and the
+    rest are checked again against the raised maxima after each chunk.
     """
-    best = _NO_SKEW
-    out = np.full((n, n), np.nan)
-    scratch = np.empty((n - 1, _PAIR_BLOCK))
+    n = topology.node_count
+    first, second = np.triu_indices(n, 1)
+    hops = topology.distances[first, second]
+    is_edge = hops == 1
+    edge_count = int(is_edge.sum())
+    slot = hops + edge_count
+    slot[is_edge] = np.arange(edge_count)
+    best = np.full(edge_count + topology.diameter + 1, -np.inf)
+    top = _NO_SKEW
     for times, values in blocks:
-        best = _fold_global(best, times, values)
-        for c0 in range(0, values.shape[1], _PAIR_BLOCK):
-            sub = values[:, c0 : c0 + _PAIR_BLOCK]
-            width = sub.shape[1]
-            for i in range(n - 1):
-                diff = scratch[: n - 1 - i, :width]
-                np.subtract(sub[i], sub[i + 1 :], out=diff)
-                np.abs(diff, out=diff)
-                row = out[i, i + 1 :]
-                np.fmax(row, np.fmax.reduce(diff, axis=1), out=row)
-        del values, sub  # freed before the next block is evaluated
-    out[np.isnan(out)] = -np.inf
-    lower = np.tril_indices(n, -1)
-    out[lower] = out.T[lower]
-    return best, out
+        low, high = _column_range(values)
+        top = _fold_global(top, times, values, low, high)
+        for c0 in range(0, values.shape[1], _BOUND_BLOCK):
+            cols = slice(c0, c0 + _BOUND_BLOCK)
+            _fold_pairs(best, slot, first, second, values[:, cols], low[cols], high[cols])
+        del values  # freed before the next block is evaluated
+    edges = zip(first[is_edge].tolist(), second[is_edge].tolist(), best[:edge_count])
+    per_edge = {(i, j): _measured(v) for i, j, v in edges}
+    profile = {1: _measured(best[:edge_count].max())}
+    profile.update(
+        (k, _measured(best[edge_count + k])) for k in range(2, topology.diameter + 1)
+    )
+    return top, per_edge, profile
 
 
-def _max_skew_matrix(trace: Trace, warmup: float) -> np.ndarray:
-    return _skew_pass(_trace_blocks(trace, warmup), trace.node_count)[1]
+def _fold_pairs(best, slot, first, second, sub, low, high) -> None:
+    """Raise best[slot[p]] to the max skew of every pair p = (first[p],
+    second[p]) over the columns of sub whose bound can exceed it; low and
+    high are the columns' _column_range. See _report_pass."""
+    offset = sub - low
+    up = np.fmax.reduce(offset, axis=1)
+    lo = np.fmin.reduce(offset, axis=1)
+    scale = np.fmax.reduce(np.fmax(np.abs(low), np.abs(high)))
+    bound = np.maximum(up[first] - lo[second], up[second] - lo[first])
+    bound += _SLACK_EPS * _EPS * scale
+    pending = np.flatnonzero(bound > best[slot])
+    while pending.size:
+        pairs, pending = pending[: sub.shape[0]], pending[sub.shape[0] :]
+        skews = np.abs(sub[first[pairs]] - sub[second[pairs]])
+        np.fmax.at(best, slot[pairs], np.fmax.reduce(skews, axis=1))
+        pending = pending[bound[pending] > best[slot[pending]]]
 
 
-def _edge_skews(matrix: np.ndarray, topology: "Topology") -> dict:
-    return {
-        (i, j): float(matrix[i, j]) if np.isfinite(matrix[i, j]) else 0.0
-        for i, j in topology.undirected_edges()
-    }
+def per_edge_max_skew(trace: Trace, warmup: float = 0.0) -> dict:
+    """Max observed skew of each edge (i, j), i < j; 0.0 where never measured."""
+    return _report_pass(_trace_blocks(trace, warmup), trace.topology)[1]
 
 
-def _profile(matrix: np.ndarray, topology: "Topology") -> dict:
-    profile = {}
-    for k in range(1, topology.diameter + 1):
-        values = matrix[topology.distances == k]
-        finite = values[np.isfinite(values)]
-        profile[k] = float(finite.max()) if finite.size else 0.0
-    return profile
-
-
-def per_edge_max_skew(
-    trace: Trace, topology: "Topology | None" = None, warmup: float = 0.0
-) -> dict:
-    topo = topology if topology is not None else trace.topology
-    return _edge_skews(_max_skew_matrix(trace, warmup), topo)
-
-
-def gradient_profile(
-    trace: Trace, topology: "Topology | None" = None, warmup: float = 0.0
-) -> dict:
+def gradient_profile(trace: Trace, warmup: float = 0.0) -> dict:
     """Max observed skew per hop distance k = 1..diameter."""
-    topo = topology if topology is not None else trace.topology
-    return _profile(_max_skew_matrix(trace, warmup), topo)
+    return _report_pass(_trace_blocks(trace, warmup), trace.topology)[2]
 
 
 def rate_floor(trace: Trace) -> float:
@@ -442,20 +497,13 @@ def compute_report(trace: Trace, warmup: float = 0.0) -> SkewReport:
     Raises ConfigError if warmup is not finite or lies past the horizon,
     where no sample would be measured and the verdicts would rest on nothing.
     """
-    if not (math.isfinite(warmup) and warmup <= trace.horizon):
-        from .engine import ConfigError
-
-        raise ConfigError(
-            [f"warmup {warmup!r} leaves no sample: it must be finite and at most "
-             f"the horizon {trace.horizon!r}"]
-        )
-    top, matrix = _skew_pass(_trace_blocks(trace, warmup), trace.node_count)
+    top, per_edge, profile = _report_pass(_trace_blocks(trace, warmup), trace.topology)
     report = SkewReport(
         max_global_skew=top.value,
         attaining_pair=top.pair,
         attaining_time=top.time,
-        per_edge_max_skew=_edge_skews(matrix, trace.topology),
-        gradient_profile=_profile(matrix, trace.topology),
+        per_edge_max_skew=per_edge,
+        gradient_profile=profile,
         min_rate=rate_floor(trace),
         reduced_rate_durations=reduced_rate_stats(trace).durations,
         bound_verdicts=(),

@@ -229,6 +229,18 @@ class TestInputBoundary:
         assert "diameter must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_workload_over_the_cap_refused(self, tmp_path, capsys):
+        # two nodes over 1e9 time units would send 2e9 messages
+        doc = config_to_dict(preset("two_node"))
+        doc["horizon"] = 1e9
+        config = write_doc(tmp_path, doc)
+        assert main(["validate", "--config", config]) == 2
+        assert "workload of about 2e+09 sends" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert "exceeds the cap of 10,000,000" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("warmup", ["nan", "inf", "-inf", "1e9"])
     def test_warmup_without_samples_refused(self, tmp_path, capsys, warmup):
         out = tmp_path / "out"

@@ -1,12 +1,15 @@
 import json
 import math
+import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gradsync import engine
 from gradsync.engine import (
+    WORKLOAD_CAP,
     ConfigError,
     RunConfig,
     TopologySpec,
@@ -221,6 +224,34 @@ class TestValidate:
     def test_multiple_violations_all_reported(self):
         problems = validate_config(self.base(drift_bound=-2.0, max_gap=0.0))
         assert len(problems) >= 2
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(horizon=1e9),  # 8 directed edges send about 8e9 times
+            dict(horizon=50.0, drift_mode="piecewise_random", drift_dwell=1e-6),
+        ],
+    )
+    def test_workload_over_the_cap_refused(self, changes):
+        # refused from the config alone: nothing the size of the run is built
+        tracemalloc.start()
+        try:
+            problems = validate_config(self.base(**changes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [p for p in problems if p.startswith("workload of about")] == problems
+        assert f"exceeds the cap of {WORKLOAD_CAP:,}" in problems[0]
+        assert peak < 1 << 20
+
+    def test_workload_cap_far_above_the_presets_and_benchmarks(self, monkeypatch):
+        rgg = preset("random_geometric")
+        rgg_200 = replace(rgg, topology=replace(rgg.topology, n=200, radius=0.14, seed=1))
+        monkeypatch.setattr(engine, "WORKLOAD_CAP", WORKLOAD_CAP // 50)
+        configs = [preset(name) for name in PRESETS]
+        configs += [build_wait_chain_scenario(128, 0.1, 1.0, 1.0), rgg_200]
+        for config in configs:
+            assert validate_config(config) == [], config.label
 
 
 class TestWaitChainScenario:

@@ -29,6 +29,7 @@ from gradsync.metrics import (
     trace_csv_text,
 )
 from gradsync.presets import PRESETS, preset
+from gradsync.topology import chain
 
 
 def symmetric_run():
@@ -406,9 +407,10 @@ class TestReportMatchesReference:
 
     def test_warmup_without_samples_refused(self):
         trace = run(preset("two_node"))
-        for warmup in (trace.horizon + 1.0, float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ConfigError, match=f"warmup {warmup!r} leaves no sample"):
-                compute_report(trace, warmup)
+        for measure in (compute_report, global_skew, per_edge_max_skew, gradient_profile):
+            for warmup in (trace.horizon + 1.0, float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ConfigError, match=f"warmup {warmup!r} leaves no sample"):
+                    measure(trace, warmup)
 
     def test_more_samples_than_one_block(self):
         trace = run(replace(preset("random_geometric"), seed=3))
@@ -420,13 +422,14 @@ class TestReportMatchesReference:
 
     @pytest.mark.parametrize("block", [1, 4, 7])
     def test_unstarted_cells_and_ties_across_blocks(self, monkeypatch, block):
-        # The block reducer is fed a synthetic dense matrix, one evaluated
+        # The report pass is fed a synthetic dense matrix, one evaluated
         # block at a time, with unstarted cells that no rebase history can
         # produce (a node stopping and restarting). Small integer values make
         # equal spreads and equal extremes common, so tie-breaking is checked
-        # within a column and across blocks and pairwise sub-blocks.
+        # within a column and across blocks, and ties with a running maximum
+        # across bound sub-blocks.
         monkeypatch.setattr(metrics, "_EVAL_BLOCK", block)
-        monkeypatch.setattr(metrics, "_PAIR_BLOCK", max(1, block // 2))
+        monkeypatch.setattr(metrics, "_BOUND_BLOCK", max(1, block // 2))
         topo = symmetric_run().topology
         rng = np.random.default_rng(5)
         samples = 40
@@ -439,18 +442,65 @@ class TestReportMatchesReference:
         # attains the largest spread
         logical[:, 22] = np.nan
         logical[0:2, 23] = (0.0, 3.0)
-        sample_times = np.arange(samples) * 0.5
+        assert_pass_matches_reference(logical, topo, (0.0, 3.25, 11.0))
 
-        def evaluate(times):
-            return logical[:, np.searchsorted(sample_times, times)]
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    def test_mixed_magnitudes(self, monkeypatch, block):
+        # Clocks near 1e6 next to clocks near 0: subtractions round, and the
+        # pair bounds carry rounding of their own.
+        monkeypatch.setattr(metrics, "_BOUND_BLOCK", block)
+        topo = symmetric_run().topology
+        rng = np.random.default_rng(8)
+        logical = rng.uniform(0.0, 1.0, size=(topo.node_count, 300))
+        logical[::2] += 1e6 + rng.integers(0, 3, size=(3, 1)) * 0.25
+        logical[rng.random(logical.shape) < 0.1] = np.nan
+        assert_pass_matches_reference(logical, topo, (0.0, 40.0))
 
-        for warmup in (0.0, 3.25, 11.0):
-            blocks = metrics._warm_blocks(sample_times, warmup, evaluate)
-            top, matrix = metrics._skew_pass(blocks, topo.node_count)
-            assert top == reference_global_skew(sample_times, logical, warmup)
-            expected = reference_max_skew_matrix(sample_times, logical, warmup)
-            pairs = ~np.eye(topo.node_count, dtype=bool)
-            assert np.array_equal(matrix[pairs], expected[pairs])
-            assert (metrics._edge_skews(matrix, topo), metrics._profile(matrix, topo)) == (
-                reference_edges_and_profile(expected, topo)
-            )
+
+def assert_pass_matches_reference(logical, topo, warmups):
+    """The report pass on a synthetic matrix, one column every 0.5, gives
+    the reference kernels' global skew, per-edge maxima and profile."""
+    sample_times = np.arange(logical.shape[1]) * 0.5
+
+    def evaluate(times):
+        return logical[:, np.searchsorted(sample_times, times)]
+
+    for warmup in warmups:
+        blocks = metrics._warm_blocks(sample_times, warmup, evaluate)
+        top, per_edge, profile = metrics._report_pass(blocks, topo)
+        assert top == reference_global_skew(sample_times, logical, warmup)
+        expected = reference_max_skew_matrix(sample_times, logical, warmup)
+        assert (per_edge, profile) == reference_edges_and_profile(expected, topo)
+
+
+# Columns (R, L_j, L_i), R the lowest clock of the column, where rounding
+# puts the pair bound fl(fl(L_i - R) - fl(L_j - R)) 1 to 4 ulps below the
+# exact evaluation fl(L_i - L_j). Same-magnitude subtractions are exact
+# (Sterbenz), so each column mixes a clock near 0 with clocks far above it.
+DECISIVE_COLUMNS = [
+    (0.9127555772777217, 3100.4943564284504, 43787.115966008154),
+    (0.9616571936637868, 889915.9763094134, 1108245.3711094868),
+    (0.2740483886137183, 602836.7314412665, 1129144.1791149895),
+    (0.0058245951079809455, 704997.8851000406, 1084237.762845791),
+]
+
+
+@pytest.mark.parametrize("column", DECISIVE_COLUMNS)
+@pytest.mark.parametrize(
+    "ref, j, i",
+    [
+        (0, 1, 2),  # (j, i) is an edge of the chain 0-1-2-3
+        (0, 1, 3),  # (j, i) is the only pair at distance 2 that is measured
+    ],
+)
+def test_slack_decides_pairs_within_ulps_of_their_maximum(monkeypatch, column, ref, j, i):
+    r, low, high = column
+    unslacked = (high - r) - (low - r)
+    assert unslacked < high - low  # without slack the bound would skip it
+    monkeypatch.setattr(metrics, "_BOUND_BLOCK", 1)
+    logical = np.full((4, 4), np.nan)
+    # the pair's running maximum ties the unslacked bound exactly, twice ...
+    logical[[j, i], 0] = logical[[j, i], 2] = (0.0, unslacked)
+    # ... and its true skew lies a few ulps above it, twice (a tie)
+    logical[[ref, j, i], 1] = logical[[ref, j, i], 3] = (r, low, high)
+    assert_pass_matches_reference(logical, chain(4), (0.0,))
