@@ -61,7 +61,6 @@ from .topology import (
     chain,
     from_edges,
     grid,
-    parse_edge_list,
     random_geometric,
     ring,
 )

@@ -20,6 +20,7 @@ from .engine import (
     as_number,
     build_wait_chain_scenario,
     config_from_dict,
+    is_wait_chain,
     resolve,
     run,
     validate_config,
@@ -133,7 +134,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_point(base, base_is_preset: bool, parameter: str, value, variant: str) -> RunConfig:
+def _sweep_point(base, parameter: str, value, variant: str) -> RunConfig:
     problems: list[str] = []
     if parameter in ("diameter", "seed"):
         value = as_integer(value, parameter, problems)
@@ -142,10 +143,8 @@ def _sweep_point(base, base_is_preset: bool, parameter: str, value, variant: str
     if problems:
         raise ConfigError(problems)
     if parameter == "diameter":
-        if not (base_is_preset and base.label == "wait_chain"):
-            raise ConfigError(
-                ["sweeping diameter requires the wait_chain preset as base"]
-            )
+        if not is_wait_chain(base):
+            raise ConfigError(["sweeping diameter requires a wait-chain base"])
         return build_wait_chain_scenario(
             diameter=value,
             drift_bound=base.drift_bound,
@@ -161,8 +160,8 @@ def _sweep_point(base, base_is_preset: bool, parameter: str, value, variant: str
 
 
 def _read_sweep(spec):
-    """(parameter, base config, whether the base is a preset, values,
-    variants) of a sweep spec; raises ConfigError naming every problem."""
+    """(parameter, base config, values, variants) of a sweep spec; raises
+    ConfigError naming every problem."""
     if not isinstance(spec, dict):
         raise ConfigError([f"sweep spec must be an object, got {spec!r}"])
     problems = [f"unknown sweep field {key!r}" for key in spec if key not in _SWEEP_FIELDS]
@@ -178,11 +177,10 @@ def _read_sweep(spec):
     ):
         problems.append(f"variants must be a nonempty list of names, got {variants!r}")
     base_doc = spec.get("base")
-    base_is_preset = isinstance(base_doc, dict) and "preset" in base_doc
     base = None
     if not isinstance(base_doc, dict):
         problems.append("base must be a config object or {'preset': name}")
-    elif base_is_preset:
+    elif "preset" in base_doc:
         name = base_doc["preset"]
         problems.extend(f"unknown field 'base.{key}'" for key in base_doc if key != "preset")
         if not isinstance(name, str):
@@ -198,16 +196,16 @@ def _read_sweep(spec):
             problems.extend(f"base: {line}" for line in exc.violations)
     if problems:
         raise ConfigError(problems)
-    return parameter, base, base_is_preset, values, variants or [base.variant]
+    return parameter, base, values, variants or [base.variant]
 
 
 def cmd_sweep(args) -> int:
     """Run every point, then write every output: a point that fails
     validation (each run validates its config, building its topology once)
     leaves nothing written."""
-    parameter, base, base_is_preset, values, variants = _read_sweep(_load_json(args.sweep))
+    parameter, base, values, variants = _read_sweep(_load_json(args.sweep))
     points = [
-        (value, variant, _sweep_point(base, base_is_preset, parameter, value, variant))
+        (value, variant, _sweep_point(base, parameter, value, variant))
         for value in values
         for variant in variants
     ]

@@ -51,10 +51,10 @@ class DriftSchedule:
                     f"segment drift {rate} exceeds drift_bound {self.drift_bound}"
                 )
 
-    def drift_at(self, t, side: str = "right"):
-        """Drift in effect at time t; side='left' resolves breakpoints downward."""
+    def drift_at(self, t):
+        """Drift in effect at time t; at a breakpoint, the new segment's."""
         breaks = np.asarray(self.breakpoints)
-        idx = np.searchsorted(breaks, t, side=side) - 1
+        idx = np.searchsorted(breaks, t, side="right") - 1
         idx = np.clip(idx, 0, len(self.rates) - 1)
         return np.asarray(self.rates)[idx]
 
@@ -97,17 +97,17 @@ class HardwareClock:
             raise ValueError(
                 f"time outside covered horizon [0, {self.schedule.horizon}]"
             )
-        idx = np.clip(
-            np.searchsorted(self._breaks, ts, side="right") - 1,
-            0,
-            len(self._rates) - 1,
-        )
+        idx = self._segment(ts)
         out = self._origin[idx] + self._rates[idx] * (ts - self._breaks[idx])
         return float(out) if ts.ndim == 0 else out
 
-    def rate_at(self, t, side: str = "right"):
-        """Clock rate 1 + drift at time t."""
-        return 1.0 + self.schedule.drift_at(t, side=side)
+    def rate_at(self, t):
+        """Clock rate 1 + drift at time t; at a breakpoint, the new segment's."""
+        return self._rates[self._segment(t)]
+
+    def _segment(self, t):
+        """Index of the drift segment in effect at time t."""
+        return np.clip(np.searchsorted(self._breaks, t, side="right") - 1, 0, len(self._rates) - 1)
 
 
 def make_drift_schedule(

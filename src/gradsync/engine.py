@@ -19,7 +19,7 @@ Two runs with the same RunConfig produce bit-identical traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import chain
 
 import numpy as np
@@ -51,6 +51,7 @@ __all__ = [
     "sample_grid",
     "run",
     "build_wait_chain_scenario",
+    "is_wait_chain",
     "wait_chain_length",
     "config_to_dict",
     "config_from_dict",
@@ -74,13 +75,23 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-_TOPOLOGY_NEEDS = {
-    "chain": ("n",),
-    "ring": ("n",),
-    "grid": ("rows", "cols"),
-    "random_geometric": ("n", "radius"),
-    "edge_list": ("edges",),
+# kind -> (builder, fields it needs, optional fields). The builders take
+# the fields as keyword arguments of the same names.
+_KINDS = {
+    "chain": (topo_mod.chain, ("n",), ()),
+    "ring": (topo_mod.ring, ("n",), ()),
+    "grid": (topo_mod.grid, ("rows", "cols"), ()),
+    "random_geometric": (topo_mod.random_geometric, ("n", "radius"), ("seed", "retries")),
+    "edge_list": (topo_mod.from_edges, ("edges",), ()),
 }
+
+
+def _unread(kind: str, names) -> list[str]:
+    """The violation naming every field in names that kind does not read,
+    if there is one; an unknown kind reads none."""
+    _, needs, optional = _KINDS.get(kind, (None, (), ()))
+    unread = [name for name in names if name not in ("kind", *needs, *optional)]
+    return [f"{kind} topology does not read {', '.join(unread)}"] if unread else []
 
 
 @dataclass(frozen=True)
@@ -97,21 +108,23 @@ class TopologySpec:
     edges: tuple[tuple[int, int], ...] | None = None
 
     def build(self, default_seed: int = 0) -> "topo_mod.Topology":
-        missing = [f for f in _TOPOLOGY_NEEDS.get(self.kind, ()) if getattr(self, f) is None]
+        """The graph; a field the kind needs but lacks, or one set away from
+        its default that the kind does not read, is refused."""
+        if self.kind not in _KINDS:
+            raise topo_mod.TopologyError(f"unknown topology kind {self.kind!r}")
+        builder, needs, optional = _KINDS[self.kind]
+        missing = [name for name in needs if getattr(self, name) is None]
         if missing:
             raise topo_mod.TopologyError(f"{self.kind} topology needs {', '.join(missing)}")
-        if self.kind == "chain":
-            return topo_mod.chain(self.n)
-        if self.kind == "ring":
-            return topo_mod.ring(self.n)
-        if self.kind == "grid":
-            return topo_mod.grid(self.rows, self.cols)
-        if self.kind == "random_geometric":
-            seed = self.seed if self.seed is not None else default_seed
-            return topo_mod.random_geometric(self.n, self.radius, seed, self.retries)
-        if self.kind == "edge_list":
-            return topo_mod.from_edges(self.edges)
-        raise topo_mod.TopologyError(f"unknown topology kind {self.kind!r}")
+        unread = _unread(
+            self.kind, [f.name for f in fields(self) if getattr(self, f.name) != f.default]
+        )
+        if unread:
+            raise topo_mod.TopologyError(unread[0])
+        args = {name: getattr(self, name) for name in needs + optional}
+        if "seed" in args and args["seed"] is None:
+            args["seed"] = default_seed
+        return builder(**args)
 
 
 @dataclass(frozen=True)
@@ -349,6 +362,20 @@ def build_wait_chain_scenario(
     )
 
 
+def is_wait_chain(config: RunConfig) -> bool:
+    """Whether config is build_wait_chain_scenario on its own chain and
+    parameters, whatever its label and horizon: the scenario for which the
+    neighbor-skew bound is proven."""
+    n = len(config.drift_signs or ())
+    if n < 2:
+        return False
+    scenario = build_wait_chain_scenario(
+        n - 1, config.drift_bound, config.max_gap, config.skew_threshold, config.variant,
+        seed=config.seed, process_on_start=config.process_on_start,
+    )
+    return replace(scenario, label=config.label, horizon=config.horizon) == config
+
+
 def validate_config(config: RunConfig) -> list[str]:
     """Check every configuration invariant; returns all violations found.
 
@@ -363,18 +390,10 @@ def validate_config(config: RunConfig) -> list[str]:
 def _validate(config: RunConfig):
     """Violations, and the topology and horizon where the topology builds."""
     v: list[str] = []
-    for name, value in (
-        ("drift_bound", config.drift_bound),
-        ("max_gap", config.max_gap),
-        ("skew_threshold", config.skew_threshold),
-        ("horizon", config.horizon),
-        ("schedule.gap_min", config.gap_min),
-        ("drift.dwell", config.drift_dwell),
-        ("drift.value", config.drift_value),
-        ("topology.radius", config.topology.radius),
-    ):
-        if value is not None and not math.isfinite(value):
-            v.append(f"{name} must be finite, got {value}")
+    for path, (_, read) in _FIELDS.items():
+        value = _value(config, path)
+        if read is as_number and value is not None and not math.isfinite(value):
+            v.append(f"{path} must be finite, got {value}")
     if not 0.0 <= config.drift_bound < 1.0:
         v.append(f"drift_bound must be in [0, 1), got {config.drift_bound}")
     if config.max_gap <= 0:
@@ -485,25 +504,6 @@ def _workload_estimate(config: RunConfig, topology, horizon: float) -> float:
     return sends + topology.node_count * math.ceil(segments)
 
 
-def _drift_schedule(config: RunConfig, node: int, horizon: float):
-    if config.drift_mode == "constant":
-        return make_drift_schedule(
-            "constant", config.drift_bound, horizon=horizon, value=config.drift_value
-        )
-    if config.drift_mode == "adversarial_extreme":
-        sign = config.drift_signs[node] if config.drift_signs is not None else 1
-        return make_drift_schedule(
-            "adversarial_extreme", config.drift_bound, horizon=horizon, sign=sign
-        )
-    return make_drift_schedule(
-        "piecewise_random",
-        config.drift_bound,
-        horizon=horizon,
-        dwell=config.drift_dwell,
-        seed=(config.seed, 0xD1F7, node),
-    )
-
-
 @dataclass(frozen=True)
 class Setup:
     """A validated config resolved into what every simulator of it consumes:
@@ -532,7 +532,11 @@ def resolve(config: RunConfig) -> Setup:
             config.skew_threshold, bound, config.variant, config.drift_bound
         ),
         clocks=tuple(
-            HardwareClock(_drift_schedule(config, i, horizon))
+            HardwareClock(make_drift_schedule(
+                config.drift_mode, config.drift_bound, horizon=horizon, dwell=config.drift_dwell,
+                seed=(config.seed, 0xD1F7, i), value=config.drift_value,
+                sign=1 if config.drift_signs is None else config.drift_signs[i],
+            ))
             for i in range(topology.node_count)
         ),
         schedule=generate_schedule(
@@ -679,61 +683,6 @@ def run(config: RunConfig) -> Trace:
     )
 
 
-def _topology_to_dict(spec: TopologySpec) -> dict:
-    out = {"kind": spec.kind}
-    for name in ("n", "rows", "cols", "radius", "seed"):
-        value = getattr(spec, name)
-        if value is not None:
-            out[name] = value
-    if spec.kind == "random_geometric":
-        out["retries"] = spec.retries
-    if spec.edges is not None:
-        out["edges"] = [list(e) for e in spec.edges]
-    return out
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    scripted = None
-    if config.scripted_sends is not None:
-        scripted = {
-            f"{src}->{dst}": list(times)
-            for (src, dst), times in sorted(config.scripted_sends.items())
-        }
-    return {
-        "topology": _topology_to_dict(config.topology),
-        "drift_bound": config.drift_bound,
-        "max_gap": config.max_gap,
-        "skew_threshold": config.skew_threshold,
-        "diameter_bound": config.diameter_bound,
-        "horizon": config.horizon,
-        "initiators": list(config.initiators),
-        "drift": {
-            "mode": config.drift_mode,
-            "dwell": config.drift_dwell,
-            "value": config.drift_value,
-            "signs": list(config.drift_signs) if config.drift_signs else None,
-        },
-        "schedule": {
-            "mode": config.schedule_mode,
-            "gap_min": config.gap_min,
-            "scripted": scripted,
-        },
-        "variant": config.variant,
-        "seed": config.seed,
-        "process_on_start": config.process_on_start,
-        "label": config.label,
-    }
-
-
-_CONFIG_FIELDS = (
-    "topology", "drift_bound", "max_gap", "skew_threshold", "diameter_bound", "horizon",
-    "initiators", "drift", "schedule", "variant", "seed", "process_on_start", "label",
-)
-_TOPOLOGY_FIELDS = ("kind", "n", "rows", "cols", "radius", "seed", "retries", "edges")
-_DRIFT_FIELDS = ("mode", "dwell", "value", "signs")
-_SCHEDULE_FIELDS = ("mode", "gap_min", "scripted")
-
-
 def as_integer(value, name: str, problems: list) -> int | None:
     """value as an int if it is integral (4 or 4.0); else record a problem.
 
@@ -778,10 +727,20 @@ def _edge(value, name: str, problems: list) -> tuple | None:
     return pair
 
 
+_edges = _list_of(_edge)
+
+
 def _text(value, name: str, problems: list) -> str | None:
     if isinstance(value, str):
         return value
     problems.append(f"{name} must be a string, got {value!r}")
+    return None
+
+
+def _flag(value, name: str, problems: list) -> bool | None:
+    if isinstance(value, bool):
+        return value
+    problems.append(f"{name} must be true or false, got {value!r}")
     return None
 
 
@@ -799,71 +758,129 @@ def _scripted(value, name: str, problems: list) -> dict | None:
     return sends
 
 
+# The config document, one entry per field in document order: path ->
+# (attribute, reader). A "topology." path sets an attribute of the
+# TopologySpec, any other path one of the RunConfig. A field's default is
+# its attribute's dataclass default; a field without one is required.
+_FIELDS = {
+    "topology.kind": ("kind", _text),
+    "topology.n": ("n", as_integer),
+    "topology.rows": ("rows", as_integer),
+    "topology.cols": ("cols", as_integer),
+    "topology.radius": ("radius", as_number),
+    "topology.seed": ("seed", as_integer),
+    "topology.retries": ("retries", as_integer),
+    "topology.edges": ("edges", _edges),
+    "drift_bound": ("drift_bound", as_number),
+    "max_gap": ("max_gap", as_number),
+    "skew_threshold": ("skew_threshold", as_number),
+    "diameter_bound": ("diameter_bound", as_integer),
+    "horizon": ("horizon", as_number),
+    "initiators": ("initiators", _integers),
+    "drift.mode": ("drift_mode", _text),
+    "drift.dwell": ("drift_dwell", as_number),
+    "drift.value": ("drift_value", as_number),
+    "drift.signs": ("drift_signs", _integers),
+    "schedule.mode": ("schedule_mode", _text),
+    "schedule.gap_min": ("gap_min", as_number),
+    "schedule.scripted": ("scripted_sends", _scripted),
+    "variant": ("variant", _text),
+    "seed": ("seed", as_integer),
+    "process_on_start": ("process_on_start", _flag),
+    "label": ("label", _text),
+}
+_SECTIONS = ("topology", "drift", "schedule")
+
+
+def _owner(path: str) -> type:
+    return TopologySpec if path.startswith("topology.") else RunConfig
+
+
+def _default(path: str):
+    # a dataclass keeps each field's default as a class attribute
+    return getattr(_owner(path), _FIELDS[path][0], MISSING)
+
+
+def _value(config: RunConfig, path: str):
+    return getattr(config.topology if _owner(path) is TopologySpec else config, _FIELDS[path][0])
+
+
+def _plain(value):
+    """value as JSON data: tuples become lists, scripted send keys 'src->dst'."""
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {f"{src}->{dst}": _plain(v) for (src, dst), v in sorted(value.items())}
+    return value
+
+
+def config_to_dict(config: RunConfig) -> dict:
+    """The config as a document that config_from_dict reads back equal.
+
+    The topology omits a field that is None, and one at its default that
+    its kind does not read; every other field is written.
+    """
+    doc: dict = {}
+    for path in _FIELDS:
+        section, _, key = path.rpartition(".")
+        value = _value(config, path)
+        if section == "topology" and (
+            value is None or (value == _default(path) and _unread(config.topology.kind, [key]))
+        ):
+            continue
+        (doc.setdefault(section, {}) if section else doc)[key] = _plain(value)
+    return doc
+
+
 def config_from_dict(data: dict) -> RunConfig:
     """Parse a config document; raises ConfigError naming every bad field.
 
-    Unknown fields, non-integral counts, non-numeric numbers and
-    non-boolean flags are refused rather than reinterpreted. Value ranges
-    are checked later, by validate_config.
+    An absent field takes its default, and null is read as absent only
+    where the default is None. Unknown fields, topology fields the kind
+    does not read, non-integral counts, non-numeric numbers and non-boolean
+    flags are refused rather than reinterpreted. Value ranges are checked
+    later, by validate_config.
     """
     if not isinstance(data, dict):
         raise ConfigError([f"config must be an object, got {data!r}"])
     problems: list[str] = []
-    problems.extend(f"unknown field {key!r}" for key in data if key not in _CONFIG_FIELDS)
     sections = {"": data}
-    for name, known in (
-        ("topology", _TOPOLOGY_FIELDS),
-        ("drift", _DRIFT_FIELDS),
-        ("schedule", _SCHEDULE_FIELDS),
-    ):
+    for name in _SECTIONS:
         section = data.get(name, {})
-        if not isinstance(section, dict):
+        if isinstance(section, dict):
+            sections[name] = section
+        else:
             problems.append(f"{name} must be an object, got {section!r}")
-            section = {}
-        problems.extend(f"unknown field '{name}.{key}'" for key in section if key not in known)
-        sections[name] = section
-    missing = [k for k in ("topology", "drift_bound", "max_gap", "skew_threshold") if k not in data]
-    if isinstance(data.get("topology"), dict) and "kind" not in data["topology"]:
-        missing.append("topology.kind")
-    problems.extend(f"malformed config: missing required field {k!r}" for k in missing)
-    process_on_start = data.get("process_on_start", True)
-    if not isinstance(process_on_start, bool):
-        problems.append(f"process_on_start must be true or false, got {process_on_start!r}")
+    for prefix, section in sections.items():
+        for key in section:
+            path = f"{prefix}.{key}" if prefix else key
+            if path not in _FIELDS and path not in _SECTIONS:
+                problems.append(f"unknown field {path!r}")
 
-    def read(name: str, parse, default=None):
-        section, _, key = name.rpartition(".")
-        value = sections[section].get(key)
-        return default if value is None else parse(value, name, problems)
+    args: dict[type, dict] = {TopologySpec: {}, RunConfig: {}}
+    given = []  # the topology fields the document sets
+    for path, (attr, read) in _FIELDS.items():
+        prefix, _, key = path.rpartition(".")
+        if prefix not in sections:
+            continue  # not an object, reported above
+        section, default = sections[prefix], _default(path)
+        if key not in section:
+            if default is MISSING:
+                # a required field of an absent section is named by the section
+                absent = prefix if prefix and prefix not in data else path
+                problems.append(f"malformed config: missing required field {absent!r}")
+            value = default
+        elif section[key] is None and default is None:
+            value = None
+        else:
+            value = read(section[key], path, problems)
+            if prefix == "topology":
+                given.append(attr)
+        args[_owner(path)][attr] = value
 
-    config = RunConfig(
-        topology=TopologySpec(
-            kind=read("topology.kind", _text),
-            n=read("topology.n", as_integer),
-            rows=read("topology.rows", as_integer),
-            cols=read("topology.cols", as_integer),
-            radius=read("topology.radius", as_number),
-            seed=read("topology.seed", as_integer),
-            retries=read("topology.retries", as_integer, 50),
-            edges=read("topology.edges", _list_of(_edge)),
-        ),
-        drift_bound=read("drift_bound", as_number),
-        max_gap=read("max_gap", as_number),
-        skew_threshold=read("skew_threshold", as_number),
-        diameter_bound=read("diameter_bound", as_integer),
-        horizon=read("horizon", as_number),
-        initiators=read("initiators", _integers, (0,)),
-        drift_mode=read("drift.mode", _text, "constant"),
-        drift_dwell=read("drift.dwell", as_number, 1.0),
-        drift_value=read("drift.value", as_number, 0.0),
-        drift_signs=read("drift.signs", _integers),
-        schedule_mode=read("schedule.mode", _text, "periodic"),
-        gap_min=read("schedule.gap_min", as_number),
-        scripted_sends=read("schedule.scripted", _scripted),
-        variant=read("variant", _text, "gradient"),
-        seed=read("seed", as_integer, 0),
-        process_on_start=process_on_start,
-        label=read("label", _text, ""),
-    )
+    kind = args[TopologySpec].get("kind")
+    if kind in _KINDS:
+        problems.extend(_unread(kind, given))
     if problems:
         raise ConfigError(problems)
-    return config
+    return RunConfig(topology=TopologySpec(**args[TopologySpec]), **args[RunConfig])

@@ -173,7 +173,7 @@ def _rates(alphas: np.ndarray, clocks, times: np.ndarray) -> np.ndarray:
     """alphas times each node's clock rate at times."""
     rates = np.empty_like(alphas)
     for i, clock in enumerate(clocks):
-        np.multiply(alphas[i], clock.rate_at(times, side="right"), out=rates[i])
+        np.multiply(alphas[i], clock.rate_at(times), out=rates[i])
     return rates
 
 
@@ -426,7 +426,7 @@ def rate_floor(trace: Trace) -> float:
         points = points[points < trace.horizon]
         if points.size:
             factors = hist.factors[np.searchsorted(hist.times, points, side="right") - 1]
-            lowest = min(lowest, float((factors * clock.rate_at(points, side="right")).min()))
+            lowest = min(lowest, float((factors * clock.rate_at(points)).min()))
     return lowest if lowest < math.inf else float("nan")
 
 
@@ -460,9 +460,12 @@ def bound_checks(report: SkewReport, config: "RunConfig") -> tuple[BoundVerdict,
     Global: (1 + drift_bound) * diameter * max_gap, from the start-up
     analysis; holds for any number of initiators (one is worst).
     Neighbor: threshold + (1 + 3*drift_bound) * max_gap; the analysis
-    establishes it for the wait-chain scenario under the gradient variant,
-    so elsewhere it is only reported as an observation.
+    establishes it for the wait-chain scenario (engine.is_wait_chain, which
+    looks at the config's structure, not its label) under the gradient
+    variant, so elsewhere it is only reported as an observation.
     """
+    from .engine import is_wait_chain
+
     global_threshold = (1.0 + config.drift_bound) * report.diameter * config.max_gap
     neighbor_threshold = (
         report.effective_skew_threshold + (1.0 + 3.0 * config.drift_bound) * config.max_gap
@@ -470,7 +473,7 @@ def bound_checks(report: SkewReport, config: "RunConfig") -> tuple[BoundVerdict,
     neighbor_observed = report.gradient_profile.get(1, 0.0)
     neighbor_scope = (
         "guaranteed"
-        if config.label == "wait_chain" and config.variant == "gradient"
+        if is_wait_chain(config) and config.variant == "gradient"
         else "informative"
     )
     verdicts = []

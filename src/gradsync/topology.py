@@ -21,7 +21,6 @@ __all__ = [
     "grid",
     "random_geometric",
     "from_edges",
-    "parse_edge_list",
 ]
 
 
@@ -194,26 +193,4 @@ def from_edges(edges) -> Topology:
             adj[u].append(v)
             adj[v].append(u)
     return _from_adjacency(adj)
-
-
-def parse_edge_list(text: str) -> list[tuple[int, int]]:
-    """Parse the plain-text edge format: one "u v" pair per line, 0-based ids.
-
-    Blank lines and lines starting with '#' are skipped.
-    """
-    edges = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise TopologyError(f"edge list line {lineno}: expected 'u v', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise TopologyError(
-                f"edge list line {lineno}: non-integer node id in {line!r}"
-            ) from None
-    return edges
 

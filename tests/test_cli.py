@@ -215,6 +215,32 @@ class TestInputBoundary:
         assert main(["validate", "--config", write_doc(tmp_path, doc)]) == 2
         assert "must be an object" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("path", ["drift_bound", "max_gap", "skew_threshold"])
+    def test_null_required_number_refused(self, tmp_path, capsys, path):
+        config = write_doc(tmp_path, field_doc(path, None))
+        assert main(["validate", "--config", config]) == 2
+        assert f"violation: {path} must be a number, got None" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "topology,named",
+        [
+            ({"kind": "grid", "rows": 2, "cols": 3, "n": 100}, "grid topology does not read n"),
+            ({"kind": "chain", "n": 4, "radius": 0.3}, "chain topology does not read radius"),
+            ({"kind": "chain", "n": 4, "edges": [[0, 1]]}, "chain topology does not read edges"),
+            ({"kind": "ring", "n": 5, "retries": 50}, "ring topology does not read retries"),
+        ],
+    )
+    def test_unread_topology_field_refused(self, tmp_path, capsys, topology, named):
+        config = write_doc(tmp_path, field_doc("topology", topology))
+        assert main(["validate", "--config", config]) == 2
+        assert f"violation: {named}" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_topology_size_refused(self, tmp_path, capsys):
         config = write_doc(tmp_path, field_doc("topology", {"kind": "chain"}))
         assert main(["validate", "--config", config]) == 2
@@ -366,6 +392,25 @@ class TestSweep:
         assert table[0].startswith("parameter,value,variant,")
         assert len(table) == 1 + 4  # 2 values x 2 variants
         assert (tmp_path / "out" / "diameter_4_gradient" / "summary.json").exists()
+
+    def test_diameter_sweep_on_a_wait_chain_document(self, tmp_path):
+        base = config_to_dict(build_wait_chain_scenario(4, 0.1, 1.0, 1.0))
+        base["label"] = "my chain"
+        path = self.sweep_spec(tmp_path, base=base, variants=["gradient"])
+        assert main(["sweep", "--sweep", str(path), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads(
+            (tmp_path / "out" / "diameter_8_gradient" / "summary.json").read_text()
+        )
+        assert summary["config"]["topology"] == {"kind": "chain", "n": 9}
+
+    def test_diameter_sweep_on_a_ring_refused(self, tmp_path, capsys):
+        base = config_to_dict(preset("two_node"))
+        base["topology"] = {"kind": "ring", "n": 5}
+        path = self.sweep_spec(tmp_path, base=base)
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        assert "sweeping diameter requires a wait-chain base" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_slowdown_neighbor_skew_grows(self, tmp_path):
         path = self.sweep_spec(tmp_path, values=[4, 16])

@@ -117,3 +117,13 @@ def test_vectorized_evaluation_matches_scalar():
     assert vec.shape == ts.shape
     for t, v in zip(ts, vec):
         assert clock.hardware_time(float(t)) == pytest.approx(v, abs=1e-12)
+
+
+def test_rate_at_is_one_plus_the_drift_in_effect():
+    sched = make_drift_schedule("piecewise_random", 0.2, horizon=8.0, dwell=0.9, seed=3)
+    clock = HardwareClock(sched)
+    ts = np.array([0.0, 0.45, 0.9, 1.8, 4.0, 7.2, 8.0])  # 0.9, 1.8 and 7.2 are breakpoints
+    assert clock.rate_at(ts).tolist() == (1.0 + sched.drift_at(ts)).tolist()
+    for t in ts.tolist():
+        assert clock.rate_at(t) == 1.0 + sched.drift_at(t)
+    assert clock.rate_at(0.9) == 1.0 + sched.rates[1]

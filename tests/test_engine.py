@@ -2,7 +2,7 @@ import json
 import math
 import tracemalloc
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -412,6 +412,83 @@ class TestConfigRoundTrip:
         assert cfg.max_gap == 1.0 and isinstance(cfg.max_gap, float)
         assert (cfg.initiators, cfg.process_on_start, cfg.variant) == ((0,), True, "gradient")
         assert validate_config(cfg) == []
+
+    def test_field_table_covers_every_attribute_once(self):
+        attrs = [(engine._owner(path), attr) for path, (attr, _) in engine._FIELDS.items()]
+        expected = [(TopologySpec, f.name) for f in fields(TopologySpec)]
+        expected += [(RunConfig, f.name) for f in fields(RunConfig) if f.name != "topology"]
+        assert sorted(attrs, key=repr) == sorted(expected, key=repr)
+        assert len(set(attrs)) == len(attrs)
+
+    def test_every_field_away_from_its_default_round_trips(self):
+        cfg = RunConfig(
+            topology=TopologySpec(kind="chain", n=3),
+            drift_bound=0.2,
+            max_gap=2.0,
+            skew_threshold=1.5,
+            diameter_bound=5,
+            horizon=7.5,
+            initiators=(2, 0),
+            drift_mode="adversarial_extreme",
+            drift_dwell=0.5,
+            drift_value=-0.1,
+            drift_signs=(1, -1, 1),
+            schedule_mode="scripted",
+            gap_min=0.25,
+            scripted_sends={(1, 0): (0.5, 2.0), (0, 1): (1.0,)},
+            variant="no_slowdown",
+            seed=9,
+            process_on_start=False,
+            label="every field",
+        )
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        assert all(getattr(cfg, name) != default for name, default in defaults.items())
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TopologySpec(kind="chain", n=3),
+            TopologySpec(kind="ring", n=5),
+            TopologySpec(kind="grid", rows=2, cols=3),
+            TopologySpec(kind="random_geometric", n=12, radius=0.5, seed=3, retries=9),
+            TopologySpec(kind="edge_list", edges=((0, 1), (1, 2))),
+        ],
+    )
+    def test_every_topology_kind_round_trips(self, spec):
+        cfg = RunConfig(topology=spec, drift_bound=0.1, max_gap=1.0, skew_threshold=1.0)
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+        assert validate_config(cfg) == []
+
+    @pytest.mark.parametrize(
+        "path", ["diameter_bound", "horizon", "topology.seed", "drift.signs", "schedule.gap_min"]
+    )
+    def test_null_reads_as_absent_where_the_default_is_null(self, path):
+        doc = config_to_dict(preset("random_geometric"))
+        *section, key = path.split(".")
+        (doc[section[0]] if section else doc)[key] = None
+        cfg = config_from_dict(doc)
+        assert engine._value(cfg, path) is None
+
+    @pytest.mark.parametrize(
+        "path,named",
+        [
+            ("drift_bound", "drift_bound must be a number, got None"),
+            ("seed", "seed must be an integer, got None"),
+            ("initiators", "initiators must be a list, got None"),
+            ("label", "label must be a string, got None"),
+            ("drift.dwell", "drift.dwell must be a number, got None"),
+            ("topology.retries", "topology.retries must be an integer, got None"),
+            ("topology.kind", "topology.kind must be a string, got None"),
+        ],
+    )
+    def test_null_refused_where_the_default_is_not_null(self, path, named):
+        doc = config_to_dict(preset("random_geometric"))
+        *section, key = path.split(".")
+        (doc[section[0]] if section else doc)[key] = None
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert info.value.violations == [named]
 
     def test_every_problem_named_at_once(self):
         doc = config_to_dict(preset("wait_chain"))

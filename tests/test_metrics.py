@@ -198,12 +198,17 @@ class TestBoundChecks:
         assert not v.passed and v.margin == pytest.approx(4.4 - 5.0)
 
     def test_scope_flags(self):
-        by_name = {v.name: v for v in bound_checks(self.fake_report(), self.config())}
+        # the neighbor bound's scope follows the scenario, not the label
+        unlabelled = self.config(label="")
+        by_name = {v.name: v for v in bound_checks(self.fake_report(), unlabelled)}
         assert by_name["neighbor_skew"].scope == "guaranteed"
-        off_scenario = self.config(label="")
-        by_name = {v.name: v for v in bound_checks(self.fake_report(), off_scenario)}
-        assert by_name["neighbor_skew"].scope == "informative"
-        assert by_name["global_skew"].scope == "guaranteed"
+        for off_scenario in (
+            self.config(drift_signs=(1,) * 5),
+            replace(preset("random_geometric"), label="wait_chain"),
+        ):
+            by_name = {v.name: v for v in bound_checks(self.fake_report(), off_scenario)}
+            assert by_name["neighbor_skew"].scope == "informative"
+            assert by_name["global_skew"].scope == "guaranteed"
 
 
 def test_sampling_completeness():

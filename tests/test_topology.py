@@ -9,7 +9,6 @@ from gradsync.topology import (
     chain,
     from_edges,
     grid,
-    parse_edge_list,
     random_geometric,
     ring,
 )
@@ -110,17 +109,6 @@ def test_self_loop_rejected():
         from_edges([(0, 0), (0, 1)])
 
 
-def test_edge_list_text_format():
-    text = "# a square\n0 1\n1 2\n\n2 3\n3 0\n"
-    topo = from_edges(parse_edge_list(text))
-    assert topo.node_count == 4
-    assert topo.diameter == 2
-    with pytest.raises(TopologyError, match="line 1"):
-        parse_edge_list("0 1 2\n")
-    with pytest.raises(TopologyError, match="non-integer"):
-        parse_edge_list("0 x\n")
-
-
 def test_random_geometric_is_deterministic_and_can_fail():
     a = random_geometric(20, 0.4, seed=5)
     b = random_geometric(20, 0.4, seed=5)
@@ -138,3 +126,19 @@ def test_topology_spec_dispatch():
     assert rgg.build(default_seed=5).adjacency == random_geometric(20, 0.4, seed=5).adjacency
     with pytest.raises(TopologyError, match="unknown topology kind"):
         TopologySpec(kind="star", n=3).build()
+
+
+@pytest.mark.parametrize(
+    "spec,named",
+    [
+        (TopologySpec(kind="grid", rows=2, cols=3, n=100), "grid topology does not read n"),
+        (TopologySpec(kind="chain", n=4, radius=0.3), "chain topology does not read radius"),
+        (TopologySpec(kind="chain", n=4, edges=((0, 1),)), "chain topology does not read edges"),
+        (TopologySpec(kind="ring", n=5, retries=3), "ring topology does not read retries"),
+        (TopologySpec(kind="edge_list", edges=((0, 1),), seed=2),
+         "edge_list topology does not read seed"),
+    ],
+)
+def test_topology_spec_refuses_unread_fields(spec, named):
+    with pytest.raises(TopologyError, match=f"^{named}$"):
+        spec.build()
