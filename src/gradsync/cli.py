@@ -145,7 +145,13 @@ def _sweep_point(base, parameter: str, value, variant: str) -> RunConfig:
     if parameter == "diameter":
         if not is_wait_chain(base):
             raise ConfigError(["sweeping diameter requires a wait-chain base"])
-        return build_wait_chain_scenario(
+        # every point takes its diameter's default horizon and the base's label
+        horizon = (2 * base.diameter_bound + 4) * base.max_gap
+        if base.horizon != horizon:
+            raise ConfigError(
+                [f"sweeping diameter requires the default horizon {horizon}, got {base.horizon}"]
+            )
+        point = build_wait_chain_scenario(
             diameter=value,
             drift_bound=base.drift_bound,
             max_gap=base.max_gap,
@@ -154,6 +160,7 @@ def _sweep_point(base, parameter: str, value, variant: str) -> RunConfig:
             seed=base.seed,
             process_on_start=base.process_on_start,
         )
+        return replace(point, label=base.label)
     if parameter == "seed":
         return replace(base, seed=value, variant=variant)
     return replace(base, **{parameter: value}, variant=variant)

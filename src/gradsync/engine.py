@@ -75,28 +75,22 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-# kind -> (builder, fields it needs, optional fields). The builders take
-# the fields as keyword arguments of the same names.
+# kind -> (builder, fields it needs, optional fields with their defaults).
+# The builders take the fields as keyword arguments of the same names; a
+# seed left None is the run's seed.
 _KINDS = {
-    "chain": (topo_mod.chain, ("n",), ()),
-    "ring": (topo_mod.ring, ("n",), ()),
-    "grid": (topo_mod.grid, ("rows", "cols"), ()),
-    "random_geometric": (topo_mod.random_geometric, ("n", "radius"), ("seed", "retries")),
-    "edge_list": (topo_mod.from_edges, ("edges",), ()),
+    "chain": (topo_mod.chain, ("n",), {}),
+    "ring": (topo_mod.ring, ("n",), {}),
+    "grid": (topo_mod.grid, ("rows", "cols"), {}),
+    "random_geometric": (topo_mod.random_geometric, ("n", "radius"), {"seed": None, "retries": 50}),
+    "edge_list": (topo_mod.from_edges, ("edges",), {}),
 }
-
-
-def _unread(kind: str, names) -> list[str]:
-    """The violation naming every field in names that kind does not read,
-    if there is one; an unknown kind reads none."""
-    _, needs, optional = _KINDS.get(kind, (None, (), ()))
-    unread = [name for name in names if name not in ("kind", *needs, *optional)]
-    return [f"{kind} topology does not read {', '.join(unread)}"] if unread else []
 
 
 @dataclass(frozen=True)
 class TopologySpec:
-    """Declarative topology description, serializable with the run config."""
+    """Declarative topology description, serializable with the run config;
+    an optional field of the kind left None takes the kind's default."""
 
     kind: str
     n: int | None = None
@@ -104,24 +98,30 @@ class TopologySpec:
     cols: int | None = None
     radius: float | None = None
     seed: int | None = None
-    retries: int = 50
+    retries: int | None = None
     edges: tuple[tuple[int, int], ...] | None = None
 
+    def __post_init__(self):
+        for name, default in _KINDS.get(self.kind, (None, (), {}))[2].items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+
     def build(self, default_seed: int = 0) -> "topo_mod.Topology":
-        """The graph; a field the kind needs but lacks, or one set away from
-        its default that the kind does not read, is refused."""
+        """The graph; a field the kind needs but lacks, or one set that the
+        kind does not read, is refused."""
         if self.kind not in _KINDS:
             raise topo_mod.TopologyError(f"unknown topology kind {self.kind!r}")
         builder, needs, optional = _KINDS[self.kind]
         missing = [name for name in needs if getattr(self, name) is None]
         if missing:
             raise topo_mod.TopologyError(f"{self.kind} topology needs {', '.join(missing)}")
-        unread = _unread(
-            self.kind, [f.name for f in fields(self) if getattr(self, f.name) != f.default]
-        )
+        read = ("kind", *needs, *optional)
+        unread = [
+            f.name for f in fields(self) if f.name not in read and getattr(self, f.name) is not None
+        ]
         if unread:
-            raise topo_mod.TopologyError(unread[0])
-        args = {name: getattr(self, name) for name in needs + optional}
+            raise topo_mod.TopologyError(f"{self.kind} topology does not read {', '.join(unread)}")
+        args = {name: getattr(self, name) for name in (*needs, *optional)}
         if "seed" in args and args["seed"] is None:
             args["seed"] = default_seed
         return builder(**args)
@@ -817,16 +817,13 @@ def _plain(value):
 def config_to_dict(config: RunConfig) -> dict:
     """The config as a document that config_from_dict reads back equal.
 
-    The topology omits a field that is None, and one at its default that
-    its kind does not read; every other field is written.
+    The topology omits a field that is None; every other field is written.
     """
     doc: dict = {}
     for path in _FIELDS:
         section, _, key = path.rpartition(".")
         value = _value(config, path)
-        if section == "topology" and (
-            value is None or (value == _default(path) and _unread(config.topology.kind, [key]))
-        ):
+        if section == "topology" and value is None:
             continue
         (doc.setdefault(section, {}) if section else doc)[key] = _plain(value)
     return doc
@@ -836,10 +833,10 @@ def config_from_dict(data: dict) -> RunConfig:
     """Parse a config document; raises ConfigError naming every bad field.
 
     An absent field takes its default, and null is read as absent only
-    where the default is None. Unknown fields, topology fields the kind
-    does not read, non-integral counts, non-numeric numbers and non-boolean
-    flags are refused rather than reinterpreted. Value ranges are checked
-    later, by validate_config.
+    where the default is None. Unknown fields, non-integral counts,
+    non-numeric numbers and non-boolean flags are refused rather than
+    reinterpreted. Value ranges, and topology fields the kind does not
+    read, are checked later, by validate_config.
     """
     if not isinstance(data, dict):
         raise ConfigError([f"config must be an object, got {data!r}"])
@@ -854,11 +851,11 @@ def config_from_dict(data: dict) -> RunConfig:
     for prefix, section in sections.items():
         for key in section:
             path = f"{prefix}.{key}" if prefix else key
-            if path not in _FIELDS and path not in _SECTIONS:
+            # a key with a dot in it is unknown in every section
+            if path.rpartition(".")[0] != prefix or path not in (*_FIELDS, *_SECTIONS):
                 problems.append(f"unknown field {path!r}")
 
     args: dict[type, dict] = {TopologySpec: {}, RunConfig: {}}
-    given = []  # the topology fields the document sets
     for path, (attr, read) in _FIELDS.items():
         prefix, _, key = path.rpartition(".")
         if prefix not in sections:
@@ -874,13 +871,8 @@ def config_from_dict(data: dict) -> RunConfig:
             value = None
         else:
             value = read(section[key], path, problems)
-            if prefix == "topology":
-                given.append(attr)
         args[_owner(path)][attr] = value
 
-    kind = args[TopologySpec].get("kind")
-    if kind in _KINDS:
-        problems.extend(_unread(kind, given))
     if problems:
         raise ConfigError(problems)
     return RunConfig(topology=TopologySpec(**args[TopologySpec]), **args[RunConfig])

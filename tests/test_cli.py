@@ -204,6 +204,16 @@ class TestInputBoundary:
         assert main(["validate", "--config", config]) == 2
         assert f"unknown field {path!r}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [("drift.mode", "constant"), ("topology.n", 5), ("schedule.scripted", None)],
+    )
+    def test_dotted_top_level_key_refused(self, tmp_path, capsys, path, value):
+        doc = config_to_dict(preset("random_geometric"))
+        doc[path] = value
+        assert main(["validate", "--config", write_doc(tmp_path, doc)]) == 2
+        assert f"unknown field {path!r}" in capsys.readouterr().out
+
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_non_boolean_process_on_start_refused(self, tmp_path, capsys, value):
         config = write_doc(tmp_path, field_doc("process_on_start", value))
@@ -402,6 +412,19 @@ class TestSweep:
             (tmp_path / "out" / "diameter_8_gradient" / "summary.json").read_text()
         )
         assert summary["config"]["topology"] == {"kind": "chain", "n": 9}
+        assert summary["config"]["label"] == "my chain"
+        assert summary["config"]["horizon"] == 20.0
+
+    def test_diameter_sweep_on_a_wait_chain_with_its_own_horizon_refused(
+        self, tmp_path, capsys
+    ):
+        base = config_to_dict(build_wait_chain_scenario(4, 0.1, 1.0, 1.0, horizon=100.0))
+        path = self.sweep_spec(tmp_path, base=base)
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sweeping diameter requires the default horizon 12.0, got 100.0" in err
+        assert not out.exists()
 
     def test_diameter_sweep_on_a_ring_refused(self, tmp_path, capsys):
         base = config_to_dict(preset("two_node"))

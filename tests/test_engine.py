@@ -461,14 +461,24 @@ class TestConfigRoundTrip:
         assert validate_config(cfg) == []
 
     @pytest.mark.parametrize(
-        "path", ["diameter_bound", "horizon", "topology.seed", "drift.signs", "schedule.gap_min"]
+        "path",
+        [
+            "diameter_bound",
+            "horizon",
+            "topology.seed",
+            "topology.retries",
+            "drift.signs",
+            "schedule.gap_min",
+        ],
     )
     def test_null_reads_as_absent_where_the_default_is_null(self, path):
-        doc = config_to_dict(preset("random_geometric"))
+        doc = config_to_dict(replace(preset("random_geometric"), diameter_bound=9, horizon=5.0))
         *section, key = path.split(".")
-        (doc[section[0]] if section else doc)[key] = None
-        cfg = config_from_dict(doc)
-        assert engine._value(cfg, path) is None
+        owner = doc[section[0]] if section else doc
+        owner[key] = None
+        with_null = config_from_dict(doc)
+        del owner[key]
+        assert with_null == config_from_dict(doc)
 
     @pytest.mark.parametrize(
         "path,named",
@@ -478,7 +488,7 @@ class TestConfigRoundTrip:
             ("initiators", "initiators must be a list, got None"),
             ("label", "label must be a string, got None"),
             ("drift.dwell", "drift.dwell must be a number, got None"),
-            ("topology.retries", "topology.retries must be an integer, got None"),
+            ("drift.mode", "drift.mode must be a string, got None"),
             ("topology.kind", "topology.kind must be a string, got None"),
         ],
     )

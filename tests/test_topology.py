@@ -124,6 +124,7 @@ def test_topology_spec_dispatch():
     assert TopologySpec(kind="edge_list", edges=((0, 1), (1, 2))).build().diameter == 2
     rgg = TopologySpec(kind="random_geometric", n=20, radius=0.4)
     assert rgg.build(default_seed=5).adjacency == random_geometric(20, 0.4, seed=5).adjacency
+    assert (rgg.seed, rgg.retries) == (None, 50)
     with pytest.raises(TopologyError, match="unknown topology kind"):
         TopologySpec(kind="star", n=3).build()
 
@@ -135,8 +136,10 @@ def test_topology_spec_dispatch():
         (TopologySpec(kind="chain", n=4, radius=0.3), "chain topology does not read radius"),
         (TopologySpec(kind="chain", n=4, edges=((0, 1),)), "chain topology does not read edges"),
         (TopologySpec(kind="ring", n=5, retries=3), "ring topology does not read retries"),
+        (TopologySpec(kind="ring", n=5, retries=50), "ring topology does not read retries"),
         (TopologySpec(kind="edge_list", edges=((0, 1),), seed=2),
          "edge_list topology does not read seed"),
+        (TopologySpec(kind="chain", n=4, seed=0), "chain topology does not read seed"),
     ],
 )
 def test_topology_spec_refuses_unread_fields(spec, named):
