@@ -25,6 +25,7 @@ from .engine import (
 )
 from .metrics import (
     BoundVerdict,
+    EventLog,
     GlobalSkew,
     ReducedRateStats,
     SkewReport,

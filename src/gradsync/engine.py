@@ -26,7 +26,7 @@ import numpy as np
 
 from . import topology as topo_mod
 from .clocks import DRIFT_MODES, HardwareClock, make_drift_schedule
-from .metrics import NodeHistory, Trace, TraceEvent
+from .metrics import EventLog, NodeHistory, Trace, _rows
 from .protocol import (
     VARIANTS,
     ProtocolParams,
@@ -61,9 +61,9 @@ __all__ = [
 
 SCHEDULE_MODES = ("periodic", "random_uniform", "scripted")
 
-# Most sends plus drift segments a config may be estimated to take. A run
-# holds a few hundred bytes per event, so this cap is a few GB and minutes
-# of CPU; the presets and the benchmark workloads estimate below 7e4.
+# Most sends plus drift segments a config may be estimated to take, and most
+# node pairs its topology may have (its distance matrix is n x n): a few GB
+# and minutes of CPU. The presets and benchmarks stay below 7e4 and 1e4.
 WORKLOAD_CAP = 10_000_000
 
 
@@ -107,8 +107,8 @@ class TopologySpec:
                 object.__setattr__(self, name, default)
 
     def build(self, default_seed: int = 0) -> "topo_mod.Topology":
-        """The graph; a field the kind needs but lacks, or one set that the
-        kind does not read, is refused."""
+        """The graph; a field the kind needs but lacks, one set that the kind
+        does not read, and over WORKLOAD_CAP node pairs are refused."""
         if self.kind not in _KINDS:
             raise topo_mod.TopologyError(f"unknown topology kind {self.kind!r}")
         builder, needs, optional = _KINDS[self.kind]
@@ -121,6 +121,14 @@ class TopologySpec:
         ]
         if unread:
             raise topo_mod.TopologyError(f"{self.kind} topology does not read {', '.join(unread)}")
+        # the node count, so that no adjacency is built past the pair cap
+        nodes = self.rows * self.cols if self.kind == "grid" else self.n
+        if self.kind == "edge_list":
+            nodes = 1 + max((max(edge) for edge in self.edges), default=0)
+        if nodes * (nodes - 1) // 2 > WORKLOAD_CAP:
+            raise topo_mod.TopologyError(
+                f"{self.kind} topology of {nodes:,} nodes has over {WORKLOAD_CAP:,} node pairs"
+            )
         args = {name: getattr(self, name) for name in (*needs, *optional)}
         if "seed" in args and args["seed"] is None:
             args["seed"] = default_seed
@@ -419,6 +427,8 @@ def _validate(config: RunConfig):
         v.append(
             f"drift_value {config.drift_value} exceeds drift_bound {config.drift_bound}"
         )
+    if config.seed < 0:
+        v.append(f"seed must be non-negative, got {config.seed}")
     if config.horizon is not None and config.horizon <= 0:
         v.append(f"horizon must be positive, got {config.horizon}")
     if config.gap_min is not None and not 0.0 <= config.gap_min < config.max_gap:
@@ -429,7 +439,7 @@ def _validate(config: RunConfig):
 
     topology = horizon = None
     try:
-        topology = config.topology.build(default_seed=config.seed)
+        topology = config.topology.build(default_seed=max(config.seed, 0))  # < 0 is refused above
     except topo_mod.TopologyError as exc:
         v.append(str(exc))
     if topology is not None:
@@ -574,17 +584,6 @@ def _hardware_times(clocks, times: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-# Events converted to Python scalars at a time by _rows: converting whole
-# columns up front would keep two extra floats per event alive for the run.
-_ROW_BLOCK = 4096
-
-
-def _rows(*columns):
-    """Rows of equal-length arrays as Python scalars, one block at a time."""
-    for start in range(0, columns[0].size, _ROW_BLOCK):
-        yield from zip(*(col[start:start + _ROW_BLOCK].tolist() for col in columns))
-
-
 def run(config: RunConfig) -> Trace:
     """Execute one run and record its complete trace.
 
@@ -603,7 +602,6 @@ def run(config: RunConfig) -> Trace:
     hist_values: list[list[float]] = [[] for _ in range(n)]
     hist_factors: list[list[float]] = [[] for _ in range(n)]
     hist_hardware: list[list[float]] = [[] for _ in range(n)]
-    event_log: list[TraceEvent] = []
     reduced_open: dict[tuple[int, int], float] = {}
     reduced_done: dict[tuple[int, int], list[tuple[float, float]]] = {}
 
@@ -616,7 +614,6 @@ def run(config: RunConfig) -> Trace:
     # Local aliases, taken per run so that rebinding the module names
     # (as the benchmark's tracer does) still takes effect.
     emit, receive, factor_of = emit_payload, on_receive, rate_factor
-    log = event_log.append
     process_on_start = config.process_on_start
 
     for i in sorted(config.initiators):
@@ -625,16 +622,19 @@ def run(config: RunConfig) -> Trace:
         record(i, 0.0)
 
     times, srcs, dsts = setup.schedule.events()
+    payloads = np.full(times.size, np.nan)
+    started = np.zeros(times.size, dtype=bool)
+    jumps = np.zeros(times.size)
     h_srcs = _hardware_times(clocks, times, srcs)
     h_dsts = _hardware_times(clocks, times, dsts)
-    for t, src, dst, h_src, h_dst in _rows(times, srcs, dsts, h_srcs, h_dsts):
+    for k, (t, src, dst, h_src, h_dst) in enumerate(_rows(times, srcs, dsts, h_srcs, h_dsts)):
         payload = emit(states[src], h_src)
         if payload is None:
-            log(TraceEvent(t, t, src, dst, None, False, 0.0))
             continue
+        payloads[k] = payload.value
         state = states[dst]
-        started_now = not state.started
-        if started_now:
+        if not state.started:
+            started[k] = True
             on_start(state, h_dst)
             start_times[dst] = t
             record(dst, t)
@@ -644,9 +644,8 @@ def run(config: RunConfig) -> Trace:
         level_before = state.l_base + factor_of(state) * (h_dst - state.h_base)
         old_factor = state.rate_factors[src]
         receive(state, params, src, payload, h_dst, apply_step2=apply_step2)
-        jump = 0.0
         if apply_step2:
-            jump = state.l_base - level_before
+            jumps[k] = state.l_base - level_before
             record(dst, t)
             new_factor = state.rate_factors[src]
             if new_factor != old_factor:
@@ -656,16 +655,13 @@ def run(config: RunConfig) -> Trace:
                 else:
                     opened = reduced_open.pop(key)
                     reduced_done.setdefault(key, []).append((opened, t))
-        log(TraceEvent(t, t, src, dst, payload.value, started_now, jump))
 
     for key, opened in sorted(reduced_open.items()):
         reduced_done.setdefault(key, []).append((opened, horizon))
 
     history = tuple(
-        NodeHistory(
-            times=np.array(ht), values=np.array(hv), factors=np.array(hf), hardware=np.array(hh)
-        )
-        for ht, hv, hf, hh in zip(hist_times, hist_values, hist_factors, hist_hardware)
+        NodeHistory(*map(np.array, h))
+        for h in zip(hist_times, hist_values, hist_factors, hist_hardware)
     )
 
     return Trace(
@@ -676,7 +672,7 @@ def run(config: RunConfig) -> Trace:
         horizon=horizon,
         sample_times=sample_grid(times, clocks, horizon),
         start_times=start_times,
-        events=tuple(event_log),
+        events=EventLog(times, srcs, dsts, payloads, started, jumps),
         reduced_intervals={k: tuple(iv) for k, iv in sorted(reduced_done.items())},
         clocks=clocks,
         history=history,

@@ -36,6 +36,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Trace",
     "TraceEvent",
+    "EventLog",
     "NodeHistory",
     "SkewReport",
     "BoundVerdict",
@@ -60,10 +61,10 @@ class TraceEvent(NamedTuple):
     """One application message on a directed edge.
 
     Delivery is instantaneous, so receive_time always equals send_time;
-    both are recorded so the model assumption stays checkable. payload is
-    None when the sender had not started and the message carried no
-    synchronization value. jump is the forward step the receiver's logical
-    clock took while processing, 0 if none.
+    both are derived from the EventLog's time column. payload is None when
+    the sender had not started and the message carried no synchronization
+    value. jump is the forward step the receiver's logical clock took while
+    processing, 0 if none.
     """
 
     send_time: float
@@ -73,6 +74,43 @@ class TraceEvent(NamedTuple):
     payload: float | None
     started_receiver: bool
     jump: float
+
+
+# Rows converted to Python scalars at a time by _rows: converting whole
+# columns up front would keep a Python object per event and column alive.
+_ROW_BLOCK = 4096
+
+
+def _rows(*columns):
+    """Rows of equal-length arrays as Python scalars, one block at a time."""
+    for start in range(0, columns[0].size, _ROW_BLOCK):
+        yield from zip(*(col[start:start + _ROW_BLOCK].tolist() for col in columns))
+
+
+@dataclass(frozen=True)
+class EventLog:
+    """Every message of a run as columns, in processing order: time, src,
+    dst, the payload (NaN where the sender had not started), whether it
+    started the receiver, and the receiver's jump.
+
+    Iterating yields TraceEvent records, built a block at a time.
+    """
+
+    time: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    payload: np.ndarray
+    started: np.ndarray
+    jump: np.ndarray
+
+    def __len__(self) -> int:
+        return self.time.size
+
+    def __iter__(self):
+        for t, src, dst, payload, started, jump in _rows(
+            self.time, self.src, self.dst, self.payload, self.started, self.jump
+        ):
+            yield TraceEvent(t, t, src, dst, None if payload != payload else payload, started, jump)
 
 
 @dataclass(frozen=True)
@@ -92,8 +130,8 @@ class Trace:
     """Full record of one run.
 
     sample_times is strictly increasing. history and clocks are the only
-    form of the clock values: logical, rates and alphas derive one row per
-    node and one column per sample from them, NaN before the node started.
+    form of the clock values: logical and rates derive one row per node and
+    one column per sample from them, NaN before the node started.
     """
 
     config: "RunConfig"
@@ -103,7 +141,7 @@ class Trace:
     horizon: float
     sample_times: np.ndarray
     start_times: np.ndarray
-    events: tuple[TraceEvent, ...]
+    events: EventLog
     reduced_intervals: dict
     clocks: tuple["HardwareClock", ...]
     history: tuple[NodeHistory, ...]
@@ -125,14 +163,11 @@ class Trace:
         return self.evaluate_logical(self.sample_times)
 
     @property
-    def alphas(self) -> np.ndarray:
-        return sample_history(self.history, self.clocks, self.sample_times)[1]
-
-    @property
     def rates(self) -> np.ndarray:
         """Forward logical rate on each sample's interval; NaN at the final
         sample, which has no forward interval."""
-        rates = _rates(self.alphas, self.clocks, self.sample_times)
+        alphas = sample_history(self.history, self.clocks, self.sample_times)[1]
+        rates = _rates(alphas, self.clocks, self.sample_times)
         rates[:, -1] = np.nan
         return rates
 
@@ -214,10 +249,6 @@ class ReducedRateStats:
     count: int
     total: float
     longest: float
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
 
 @dataclass(frozen=True)
@@ -536,12 +567,15 @@ def trace_csv_text(trace: Trace, out=None) -> str | None:
         if kind not in entry:
             entry.append(kind)
 
-    for ev in trace.events:
-        if ev.started_receiver:
-            add_kind(ev.receive_time, ev.dst, "start")
-        if ev.payload is not None:
-            add_kind(ev.receive_time, ev.dst, "recv")
-        add_kind(ev.send_time, ev.src, "send")
+    events = trace.events
+    for t, src, dst, payload, started in _rows(
+        events.time, events.src, events.dst, events.payload, events.started
+    ):
+        if started:
+            add_kind(t, dst, "start")
+        if payload == payload:  # not NaN: the message carried a value
+            add_kind(t, dst, "recv")
+        add_kind(t, src, "send")
     for node, clock in enumerate(trace.clocks):
         for b in clock.schedule.breakpoints[1:]:
             add_kind(b, node, "drift")

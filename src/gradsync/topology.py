@@ -161,6 +161,9 @@ def random_geometric(
         raise TopologyError(f"random_geometric needs n >= 2, got {n}")
     if radius <= 0:
         raise TopologyError(f"radius must be positive, got {radius}")
+    for name, value in (("seed", seed), ("retries", retries)):
+        if value < 0:
+            raise TopologyError(f"random_geometric {name} must be non-negative, got {value}")
     rng = np.random.default_rng([seed, 0x6E0])
     for _ in range(max(1, retries)):
         pts = rng.random((n, 2))

@@ -277,6 +277,55 @@ class TestInputBoundary:
         assert "exceeds the cap of 10,000,000" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "path,value,named",
+        [
+            ("seed", -1, "seed must be non-negative, got -1"),
+            ("topology.seed", -2, "random_geometric seed must be non-negative, got -2"),
+            ("topology.retries", -5, "random_geometric retries must be non-negative, got -5"),
+        ],
+    )
+    def test_negative_seed_or_retries_refused(self, tmp_path, capsys, path, value, named):
+        config = write_doc(tmp_path, field_doc(path, value))
+        assert main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().out == f"violation: {named}\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["random_geometric", "startup_chain"])
+    def test_negative_seed_option_refused(self, tmp_path, capsys, name):
+        # startup_chain draws nothing from its seed, and is refused all the same
+        assert main(["validate", "--preset", name, "--seed", "-1"]) == 2
+        assert "violation: seed must be non-negative, got -1" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", "--preset", name, "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "topology,named",
+        [
+            ({"kind": "grid", "rows": 100000, "cols": 100000},
+             "grid topology of 10,000,000,000 nodes has over 10,000,000 node pairs"),
+            ({"kind": "edge_list", "edges": [[0, 1000000000]]},
+             "edge_list topology of 1,000,000,001 nodes has over 10,000,000 node pairs"),
+            ({"kind": "chain", "n": 20000}, "chain topology of 20,000 nodes has over 10,000,000 node pairs"),
+        ],
+    )
+    def test_node_pairs_over_the_cap_refused(self, tmp_path, capsys, topology, named):
+        # a short horizon keeps the sends far below the cap
+        doc = field_doc("topology", topology)
+        doc["horizon"] = 2.0
+        config = write_doc(tmp_path, doc)
+        assert main(["validate", "--config", config]) == 2
+        assert f"violation: {named}" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("warmup", ["nan", "inf", "-inf", "1e9"])
     def test_warmup_without_samples_refused(self, tmp_path, capsys, warmup):
         out = tmp_path / "out"
@@ -463,6 +512,15 @@ class TestSweep:
         assert "point skew_threshold=5.0 variant=gradient: skew_threshold 5.0 exceeds" in (
             capsys.readouterr().err
         )
+        assert not out.exists()
+
+    def test_seed_sweep_with_a_negative_seed_refused(self, tmp_path, capsys):
+        base = config_to_dict(preset("random_geometric"))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"base": base, "parameter": "seed", "values": [0, -1]}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_sweep_on_plain_config(self, tmp_path):

@@ -244,6 +244,38 @@ class TestValidate:
         assert f"exceeds the cap of {WORKLOAD_CAP:,}" in problems[0]
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TopologySpec(kind="grid", rows=100000, cols=100000),
+            TopologySpec(kind="edge_list", edges=((0, 1000000000),)),
+            TopologySpec(kind="chain", n=20000),
+        ],
+    )
+    def test_node_pairs_over_the_cap_refused_before_any_adjacency(self, spec):
+        tracemalloc.start()
+        try:
+            problems = validate_config(self.base(topology=spec, horizon=2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(problems) == 1
+        assert problems[0].endswith(f"nodes has over {WORKLOAD_CAP:,} node pairs")
+        assert peak < 1 << 20
+
+    def test_negative_seeds_and_retries_refused(self):
+        rgg = TopologySpec(kind="random_geometric", n=20, radius=0.4)
+        assert validate_config(self.base(seed=-1)) == ["seed must be non-negative, got -1"]
+        assert validate_config(self.base(topology=rgg, seed=-1)) == [
+            "seed must be non-negative, got -1"
+        ]
+        assert validate_config(self.base(topology=replace(rgg, seed=-2))) == [
+            "random_geometric seed must be non-negative, got -2"
+        ]
+        assert validate_config(self.base(topology=replace(rgg, retries=-5))) == [
+            "random_geometric retries must be non-negative, got -5"
+        ]
+
     def test_workload_cap_far_above_the_presets_and_benchmarks(self, monkeypatch):
         rgg = preset("random_geometric")
         rgg_200 = replace(rgg, topology=replace(rgg.topology, n=200, radius=0.14, seed=1))

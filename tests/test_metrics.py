@@ -222,6 +222,46 @@ def test_sampling_completeness():
                 assert b in samples
 
 
+def test_event_columns_match_the_records():
+    trace = run(preset("random_geometric"))
+    events = trace.events
+    records = list(events)
+    columns = (events.time, events.src, events.dst, events.payload, events.started, events.jump)
+    for column in columns:
+        assert column.ndim == 1 and column.size == len(events) == len(records)
+    assert sum(column.nbytes for column in columns) <= 48 * len(events)
+    carried = np.array([ev.payload is not None for ev in records])
+    assert carried.any() and not carried.all()
+    assert np.array_equal(np.isnan(events.payload), ~carried)
+    assert events.payload[carried].tolist() == [ev.payload for ev in records if ev.payload is not None]
+    assert events.started.tolist() == [ev.started_receiver for ev in records]
+    assert events.jump.tolist() == [ev.jump for ev in records]
+    assert events.time.tolist() == [ev.send_time for ev in records]
+    assert all(ev.receive_time == ev.send_time for ev in records)
+    assert {tuple(type(v) for v in ev) for ev in records} == {
+        (float, float, int, int, float, bool, float),
+        (float, float, int, int, type(None), bool, float),
+    }
+
+
+@pytest.mark.parametrize("variant", ["gradient", "no_slowdown"])
+def test_run_holds_little_per_event(variant):
+    # The rebase history takes 32 B per point and the sample grid 8 B per
+    # sample; the event log and everything else must stay below 128 B per
+    # event. A named tuple per event took about 180 B.
+    config = build_wait_chain_scenario(64, 0.1, 1.0, 1.0, variant=variant)
+    run(config)  # leave one-time allocations out of the count
+    tracemalloc.start()
+    try:
+        trace = run(config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    points = sum(h.times.size for h in trace.history)
+    rest = held - 32 * points - 8 * trace.sample_times.size
+    assert rest < 128 * len(trace.events)
+
+
 def test_dense_sampling_agrees_with_breakpoint_sampling():
     # a dense grid can only reveal skew already visible at sample points,
     # up to the worst-case slope times the grid step

@@ -117,6 +117,15 @@ def test_random_geometric_is_deterministic_and_can_fail():
         random_geometric(30, 0.01, seed=5, retries=3)
 
 
+@pytest.mark.parametrize(
+    "seed,retries,named", [(-2, 50, "seed must be non-negative, got -2"),
+                           (5, -5, "retries must be non-negative, got -5")]
+)
+def test_random_geometric_refuses_negative_seed_and_retries(seed, retries, named):
+    with pytest.raises(TopologyError, match=f"^random_geometric {named}$"):
+        random_geometric(20, 0.4, seed=seed, retries=retries)
+
+
 def test_topology_spec_dispatch():
     assert TopologySpec(kind="chain", n=4).build().diameter == 3
     assert TopologySpec(kind="ring", n=6).build().diameter == 3
