@@ -58,7 +58,7 @@ def _load_config(args) -> RunConfig:
         if isinstance(data, dict) and str(data.get("schema", "")).startswith(
             "gradsync.summary"
         ):
-            data = data["config"]
+            data = data.get("config")  # absent, it is refused as not an object
         config = config_from_dict(data)
     else:
         raise ConfigError(["either --config PATH or --preset NAME is required"])
@@ -145,22 +145,20 @@ def _sweep_point(base, parameter: str, value, variant: str) -> RunConfig:
     if parameter == "diameter":
         if not is_wait_chain(base):
             raise ConfigError(["sweeping diameter requires a wait-chain base"])
+
+        def scenario(diameter):
+            return build_wait_chain_scenario(
+                diameter, base.drift_bound, base.max_gap, base.skew_threshold, variant,
+                seed=base.seed, process_on_start=base.process_on_start,
+            )
+
         # every point takes its diameter's default horizon and the base's label
-        horizon = (2 * base.diameter_bound + 4) * base.max_gap
+        horizon = scenario(base.diameter_bound).horizon
         if base.horizon != horizon:
             raise ConfigError(
                 [f"sweeping diameter requires the default horizon {horizon}, got {base.horizon}"]
             )
-        point = build_wait_chain_scenario(
-            diameter=value,
-            drift_bound=base.drift_bound,
-            max_gap=base.max_gap,
-            skew_threshold=base.skew_threshold,
-            variant=variant,
-            seed=base.seed,
-            process_on_start=base.process_on_start,
-        )
-        return replace(point, label=base.label)
+        return replace(scenario(value), label=base.label)
     if parameter == "seed":
         return replace(base, seed=value, variant=variant)
     return replace(base, **{parameter: value}, variant=variant)

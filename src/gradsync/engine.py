@@ -61,9 +61,10 @@ __all__ = [
 
 SCHEDULE_MODES = ("periodic", "random_uniform", "scripted")
 
-# Most sends plus drift segments a config may be estimated to take, and most
-# node pairs its topology may have (its distance matrix is n x n): a few GB
-# and minutes of CPU. The presets and benchmarks stay below 7e4 and 1e4.
+# Most sends plus drift segments a config may be estimated to take, most
+# node pairs its topology may have (its distance matrix is n x n), and most
+# Euler steps an oracle run may take: a few GB and minutes of CPU. The
+# presets and benchmarks stay below 7e4 and 1e4.
 WORKLOAD_CAP = 10_000_000
 
 
@@ -184,6 +185,9 @@ class CommSchedule:
             prev = 0.0
             for t in times:
                 gap = t - prev
+                if t != t:  # NaN fails both comparisons below
+                    found.append(f"edge {src}->{dst}: send time {t} is not a number")
+                    continue
                 if gap <= 0.0:
                     found.append(
                         f"edge {src}->{dst}: send times not increasing at {t}"
@@ -421,6 +425,14 @@ def _validate(config: RunConfig):
         v.append(f"unknown drift mode {config.drift_mode!r}")
     if config.schedule_mode not in SCHEDULE_MODES:
         v.append(f"unknown schedule mode {config.schedule_mode!r}")
+    for path, mode, reader in (
+        ("drift.signs", config.drift_mode, "adversarial_extreme"),
+        ("schedule.gap_min", config.schedule_mode, "random_uniform"),
+        ("schedule.scripted", config.schedule_mode, "scripted"),
+    ):
+        if mode != reader and _value(config, path) is not None:
+            section, _, key = path.partition(".")
+            v.append(f"{mode} {section} does not read {key}")
     if config.drift_dwell <= 0:
         v.append(f"drift_dwell must be positive, got {config.drift_dwell}")
     if abs(config.drift_value) > config.drift_bound:
@@ -597,7 +609,6 @@ def run(config: RunConfig) -> Trace:
     n = topology.node_count
 
     states = [fresh_state(i, topology.neighbors(i)) for i in range(n)]
-    start_times = np.full(n, np.inf)
     hist_times: list[list[float]] = [[] for _ in range(n)]
     hist_values: list[list[float]] = [[] for _ in range(n)]
     hist_factors: list[list[float]] = [[] for _ in range(n)]
@@ -618,7 +629,6 @@ def run(config: RunConfig) -> Trace:
 
     for i in sorted(config.initiators):
         on_start(states[i], 0.0)
-        start_times[i] = 0.0
         record(i, 0.0)
 
     times, srcs, dsts = setup.schedule.events()
@@ -633,14 +643,11 @@ def run(config: RunConfig) -> Trace:
             continue
         payloads[k] = payload.value
         state = states[dst]
+        apply_step2 = state.started or process_on_start
         if not state.started:
             started[k] = True
             on_start(state, h_dst)
-            start_times[dst] = t
             record(dst, t)
-            apply_step2 = process_on_start
-        else:
-            apply_step2 = True
         level_before = state.l_base + factor_of(state) * (h_dst - state.h_base)
         old_factor = state.rate_factors[src]
         receive(state, params, src, payload, h_dst, apply_step2=apply_step2)
@@ -671,7 +678,6 @@ def run(config: RunConfig) -> Trace:
         effective_skew_threshold=params.skew_threshold,
         horizon=horizon,
         sample_times=sample_grid(times, clocks, horizon),
-        start_times=start_times,
         events=EventLog(times, srcs, dsts, payloads, started, jumps),
         reduced_intervals={k: tuple(iv) for k, iv in sorted(reduced_done.items())},
         clocks=clocks,
@@ -747,10 +753,14 @@ def _scripted(value, name: str, problems: list) -> dict | None:
     sends = {}
     for key, times in value.items():
         src, sep, dst = str(key).partition("->")
-        if sep and src.isdigit() and dst.isdigit():
+        # only the spelling config_to_dict writes, so one edge has one key
+        if sep and src.isdecimal() and dst.isdecimal() and key == f"{int(src)}->{int(dst)}":
             sends[(int(src), int(dst))] = _numbers(times, f"{name}[{key!r}]", problems)
         else:
-            problems.append(f"{name} key must read 'src->dst', got {key!r}")
+            problems.append(
+                f"{name} key must read 'src->dst' in ASCII digits without leading zeros, "
+                f"got {key!r}"
+            )
     return sends
 
 

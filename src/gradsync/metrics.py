@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -140,7 +140,6 @@ class Trace:
     effective_skew_threshold: float
     horizon: float
     sample_times: np.ndarray
-    start_times: np.ndarray
     events: EventLog
     reduced_intervals: dict
     clocks: tuple["HardwareClock", ...]
@@ -149,6 +148,11 @@ class Trace:
     @property
     def node_count(self) -> int:
         return self.topology.node_count
+
+    @property
+    def start_times(self) -> np.ndarray:
+        """Each node's first rebase time, inf where it never started."""
+        return np.array([h.times[0] if h.times.size else np.inf for h in self.history])
 
     def evaluate_logical(self, times) -> np.ndarray:
         """Exact logical values at non-decreasing real times in [0, horizon]."""
@@ -560,28 +564,23 @@ def trace_csv_text(trace: Trace, out=None) -> str | None:
     a text file out, each block is written to it as soon as it is rendered
     and None is returned; otherwise the whole text is returned.
     """
-    kinds: dict[tuple[float, int], list[str]] = {}
-
-    def add_kind(t, node, kind):
-        entry = kinds.setdefault((t, node), [])
-        if kind not in entry:
-            entry.append(kind)
-
+    # (time, node) -> its kinds as dict keys, in order of first occurrence
+    kinds: dict[tuple[float, int], dict[str, None]] = {}
     events = trace.events
     for t, src, dst, payload, started in _rows(
         events.time, events.src, events.dst, events.payload, events.started
     ):
         if started:
-            add_kind(t, dst, "start")
+            kinds.setdefault((t, dst), {})["start"] = None
         if payload == payload:  # not NaN: the message carried a value
-            add_kind(t, dst, "recv")
-        add_kind(t, src, "send")
+            kinds.setdefault((t, dst), {})["recv"] = None
+        kinds.setdefault((t, src), {})["send"] = None
     for node, clock in enumerate(trace.clocks):
         for b in clock.schedule.breakpoints[1:]:
-            add_kind(b, node, "drift")
-    for node, t in enumerate(trace.start_times):
-        if t == 0.0:
-            add_kind(0.0, node, "start")
+            kinds.setdefault((b, node), {})["drift"] = None
+    for node in trace.config.initiators:
+        kinds.setdefault((0.0, node), {})["start"] = None
+    joined = {key: "+".join(names) for key, names in kinds.items()}
 
     chunks: list[str] = []
     write = chunks.append if out is None else out.write
@@ -599,7 +598,7 @@ def trace_csv_text(trace: Trace, out=None) -> str | None:
         ):
             stamp = repr(t)
             for node, (value, rate, alpha) in enumerate(zip(values, rate_row, alpha_row)):
-                kind = "+".join(kinds.get((t, node), ()))
+                kind = joined.get((t, node), "")
                 if value != value:  # not started
                     lines.append(f"{stamp},{node},,,,{kind}\n")
                 else:
@@ -614,6 +613,14 @@ def summary_json_text(trace: Trace, report: SkewReport) -> str:
     can be reproduced from its own summary."""
     from .engine import config_to_dict
 
+    # the diameter and the effective threshold are given at top level
+    block = asdict(report)
+    del block["diameter"], block["effective_skew_threshold"]
+    block["verdicts"] = block.pop("bound_verdicts")
+    block["per_edge_max_skew"] = [
+        [i, j, v] for (i, j), v in sorted(report.per_edge_max_skew.items())
+    ]
+    block["gradient_profile"] = [[k, v] for k, v in sorted(report.gradient_profile.items())]
     payload = {
         "schema": "gradsync.summary/1",
         "config": config_to_dict(trace.config),
@@ -633,30 +640,6 @@ def summary_json_text(trace: Trace, report: SkewReport) -> str:
         "start_times": [
             None if not np.isfinite(t) else float(t) for t in trace.start_times
         ],
-        "report": {
-            "max_global_skew": report.max_global_skew,
-            "attaining_pair": list(report.attaining_pair),
-            "attaining_time": report.attaining_time,
-            "per_edge_max_skew": [
-                [i, j, v] for (i, j), v in sorted(report.per_edge_max_skew.items())
-            ],
-            "gradient_profile": [
-                [k, v] for k, v in sorted(report.gradient_profile.items())
-            ],
-            "min_rate": report.min_rate,
-            "reduced_rate_durations": list(report.reduced_rate_durations),
-            "warmup": report.warmup,
-            "verdicts": [
-                {
-                    "name": v.name,
-                    "threshold": v.threshold,
-                    "observed": v.observed,
-                    "margin": v.margin,
-                    "passed": v.passed,
-                    "scope": v.scope,
-                }
-                for v in report.bound_verdicts
-            ],
-        },
+        "report": block,
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

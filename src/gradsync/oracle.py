@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ConfigError, RunConfig, resolve, sample_grid
+from .engine import WORKLOAD_CAP, ConfigError, RunConfig, resolve, sample_grid
 from .metrics import Trace
 
 __all__ = ["oracle_run", "compare", "Comparison", "OracleRun"]
@@ -30,9 +30,6 @@ class OracleRun:
     one column per sample, NaN before the node started."""
 
     config: RunConfig
-    diameter_bound: int
-    effective_skew_threshold: float
-    horizon: float
     sample_times: np.ndarray
     logical: np.ndarray
     start_times: np.ndarray
@@ -55,7 +52,8 @@ class Comparison:
 def oracle_run(config: RunConfig, dt: float) -> OracleRun:
     """Re-simulate a config with fixed-step integration.
 
-    dt must be positive, finite and at most max_gap / 10. The returned
+    dt must be positive, finite and at most max_gap / 10, and the steps it
+    takes, nodes times horizon / dt, at most WORKLOAD_CAP. The returned
     record uses the same sample grid and conventions as the engine's trace,
     so the two can be compared entry by entry.
     """
@@ -64,9 +62,14 @@ def oracle_run(config: RunConfig, dt: float) -> OracleRun:
         raise ConfigError([f"dt must be positive and finite, got {dt}"])
     if dt > config.max_gap / 10.0:
         raise ConfigError([f"dt {dt} exceeds max_gap/10 = {config.max_gap / 10.0}"])
-
     topology, horizon, clocks = setup.topology, setup.horizon, setup.clocks
     n = topology.node_count
+    steps = n * horizon / dt
+    if steps > WORKLOAD_CAP:
+        raise ConfigError(
+            [f"dt {dt} needs about {steps:.3g} steps ({n} nodes over horizon {horizon!r}), "
+             f"over the cap of {WORKLOAD_CAP:,}"]
+        )
     threshold = setup.params.skew_threshold
     slowdown = config.variant == "gradient"
     reduced = 1.0 / setup.diameter_bound
@@ -162,9 +165,6 @@ def oracle_run(config: RunConfig, dt: float) -> OracleRun:
 
     return OracleRun(
         config=config,
-        diameter_bound=setup.diameter_bound,
-        effective_skew_threshold=threshold,
-        horizon=horizon,
         sample_times=grid,
         logical=logical,
         start_times=start_times,

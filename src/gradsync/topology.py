@@ -154,8 +154,9 @@ def random_geometric(
 ) -> Topology:
     """Nodes at uniform positions in the unit square, edges within radius.
 
-    Redraws positions up to `retries` times until the graph is connected,
-    then fails. Deterministic for a given (n, radius, seed, retries).
+    Draws positions up to `retries` times, which must be at least 1, until
+    the graph is connected, then fails. Deterministic for a given (n,
+    radius, seed, retries).
     """
     if n < 2:
         raise TopologyError(f"random_geometric needs n >= 2, got {n}")
@@ -164,8 +165,12 @@ def random_geometric(
     for name, value in (("seed", seed), ("retries", retries)):
         if value < 0:
             raise TopologyError(f"random_geometric {name} must be non-negative, got {value}")
+    if retries < 1:
+        raise TopologyError(
+            f"random_geometric retries counts draws and must be at least 1, got {retries}"
+        )
     rng = np.random.default_rng([seed, 0x6E0])
-    for _ in range(max(1, retries)):
+    for _ in range(retries):
         pts = rng.random((n, 2))
         delta = pts[:, None, :] - pts[None, :, :]
         close = (delta ** 2).sum(axis=2) <= radius * radius
@@ -178,7 +183,7 @@ def random_geometric(
             continue
     raise TopologyError(
         f"random_geometric(n={n}, radius={radius}, seed={seed}) "
-        f"stayed disconnected after {retries} retries"
+        f"stayed disconnected after {retries} draws"
     )
 
 

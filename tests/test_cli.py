@@ -126,6 +126,10 @@ def field_doc(path: str, value) -> dict:
     return doc
 
 
+# a valid scripted schedule of the two_node preset: every second on both edges
+TWO_NODE_SENDS = {"0->1": [1.0, 2.0, 3.0, 4.0], "1->0": [1.0, 2.0, 3.0, 4.0]}
+
+
 def write_doc(tmp_path: Path, doc: dict) -> str:
     # json.dumps writes Infinity and NaN, which json.load accepts back
     path = tmp_path / "config.json"
@@ -283,6 +287,8 @@ class TestInputBoundary:
             ("seed", -1, "seed must be non-negative, got -1"),
             ("topology.seed", -2, "random_geometric seed must be non-negative, got -2"),
             ("topology.retries", -5, "random_geometric retries must be non-negative, got -5"),
+            ("topology.retries", 0,
+             "random_geometric retries counts draws and must be at least 1, got 0"),
         ],
     )
     def test_negative_seed_or_retries_refused(self, tmp_path, capsys, path, value, named):
@@ -324,6 +330,75 @@ class TestInputBoundary:
         out = tmp_path / "out"
         assert main(["run", "--config", config, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sends,named",
+        [
+            ({"0->1": [0.5, float("nan"), 1.5, 2.5, 3.5]},
+             "edge 0->1: send time nan is not a number"),
+            ({"00->1": [0.5, 1.5, 2.5, 3.5]},
+             "schedule.scripted key must read 'src->dst' in ASCII digits without leading zeros, "
+             "got '00->1'"),
+            ({"\u0661->0": [0.5, 1.5, 2.5, 3.5]},
+             "schedule.scripted key must read 'src->dst' in ASCII digits without leading zeros, "
+             "got '\u0661->0'"),
+            ({"\u00b2->0": [0.5, 1.5, 2.5, 3.5]},  # isdigit, but int() refuses it
+             "schedule.scripted key must read 'src->dst' in ASCII digits without leading zeros, "
+             "got '\u00b2->0'"),
+        ],
+    )
+    def test_malformed_scripted_sends_refused(self, tmp_path, capsys, sends, named):
+        doc = config_to_dict(preset("two_node"))
+        doc["schedule"] = {"mode": "scripted", "scripted": {**TWO_NODE_SENDS, **sends}}
+        config = write_doc(tmp_path, doc)
+        assert main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().out == f"violation: {named}\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,update,named",
+        [
+            ("drift", {"signs": [1, -1]}, "constant drift does not read signs"),
+            ("drift", {"mode": "piecewise_random", "signs": [1, -1]},
+             "piecewise_random drift does not read signs"),
+            ("schedule", {"gap_min": 0.2}, "periodic schedule does not read gap_min"),
+            ("schedule", {"mode": "scripted", "gap_min": 0.2, "scripted": TWO_NODE_SENDS},
+             "scripted schedule does not read gap_min"),
+            ("schedule", {"scripted": TWO_NODE_SENDS}, "periodic schedule does not read scripted"),
+            ("schedule", {"mode": "random_uniform", "scripted": TWO_NODE_SENDS},
+             "random_uniform schedule does not read scripted"),
+        ],
+    )
+    def test_field_its_mode_does_not_read_refused(self, tmp_path, capsys, section, update, named):
+        doc = config_to_dict(preset("two_node"))
+        doc[section].update(update)
+        config = write_doc(tmp_path, doc)
+        assert main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().out == f"violation: {named}\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unread_non_finite_field_named_both_ways(self, tmp_path, capsys):
+        doc = config_to_dict(preset("two_node"))
+        doc["schedule"]["gap_min"] = float("nan")
+        assert main(["validate", "--config", write_doc(tmp_path, doc)]) == 2
+        out = capsys.readouterr().out
+        assert "violation: schedule.gap_min must be finite, got nan\n" in out
+        assert "violation: periodic schedule does not read gap_min\n" in out
+
+    def test_summary_without_config_refused(self, tmp_path, capsys):
+        config = write_doc(tmp_path, {"schema": "gradsync.summary/1", "node_count": 2})
+        assert main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().out == "violation: config must be an object, got None\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert "config must be an object, got None" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("warmup", ["nan", "inf", "-inf", "1e9"])
@@ -401,6 +476,8 @@ class TestInputBoundary:
             ("--dt", "nan", "dt must be positive and finite, got nan"),
             ("--dt", "inf", "dt must be positive and finite, got inf"),
             ("--dt", "0.5", "dt 0.5 exceeds max_gap/10 = 0.1"),
+            ("--dt", "1e-9", "dt 1e-09 needs about 8e+09 steps (2 nodes over horizon 4.0), "
+                             "over the cap of 10,000,000"),
             ("--tol", "nan", "tol must be non-negative and finite, got nan"),
             ("--tol", "-1", "tol must be non-negative and finite, got -1.0"),
             ("--tol", "inf", "tol must be non-negative and finite, got inf"),

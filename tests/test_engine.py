@@ -72,6 +72,19 @@ class TestGenerateSchedule:
                 scripted={(0, 1): (1.0, 1.0, 2.0), (1, 0): (0.5, 1.5, 2.0)},
             )
 
+    def test_scripted_nan_time_named(self):
+        # NaN fails every comparison, so the gap checks alone let it through
+        with pytest.raises(ConfigError) as caught:
+            generate_schedule(
+                chain(2),
+                1.0,
+                "scripted",
+                seed=0,
+                horizon=2.0,
+                scripted={(0, 1): (0.5, math.nan, 1.5), (1, 0): (0.5, 1.0, 1.5)},
+            )
+        assert caught.value.violations == ["edge 0->1: send time nan is not a number"]
+
     def test_scripted_unknown_edge_rejected(self):
         with pytest.raises(ConfigError, match="not in the topology"):
             generate_schedule(
@@ -311,6 +324,20 @@ class TestRun:
         assert trace.start_times.tolist() == [0.0, 1.0]
         assert trace.logical[1, t1] == 1.0  # woke at 0, processed to 1
         assert trace.logical[0, t1] == 1.0
+
+    def test_start_times_are_first_rebase_times(self):
+        trace = run(replace(preset("startup_chain"), horizon=1.5))
+        assert trace.start_times.tolist() == [0.0, 1.0, math.inf, math.inf, math.inf]
+        drifting = preset("drifting_chain")
+        for cfg in (drifting, replace(drifting, initiators=(0, 4), process_on_start=False)):
+            trace = run(cfg)
+            expected = np.full(trace.node_count, np.inf)
+            expected[list(cfg.initiators)] = 0.0
+            for ev in trace.events:
+                if ev.started_receiver:
+                    expected[ev.dst] = ev.send_time
+            assert np.array_equal(trace.start_times, expected)
+            assert trace.start_times.tolist() == [h.times[0] for h in trace.history]
 
     def test_two_node_without_processing_on_start(self):
         trace = run(replace(preset("two_node"), process_on_start=False))

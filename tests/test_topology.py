@@ -119,7 +119,8 @@ def test_random_geometric_is_deterministic_and_can_fail():
 
 @pytest.mark.parametrize(
     "seed,retries,named", [(-2, 50, "seed must be non-negative, got -2"),
-                           (5, -5, "retries must be non-negative, got -5")]
+                           (5, -5, "retries must be non-negative, got -5"),
+                           (5, 0, "retries counts draws and must be at least 1, got 0")]
 )
 def test_random_geometric_refuses_negative_seed_and_retries(seed, retries, named):
     with pytest.raises(TopologyError, match=f"^random_geometric {named}$"):
