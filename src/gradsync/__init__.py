@@ -47,7 +47,6 @@ from .protocol import (
     NodeState,
     ProtocolError,
     ProtocolParams,
-    SyncPayload,
     emit_payload,
     fresh_state,
     logical_time,

@@ -35,10 +35,20 @@ SWEEPABLE = ("diameter", "skew_threshold", "drift_bound", "max_gap", "seed")
 _SWEEP_FIELDS = ("schema", "base", "parameter", "values", "variants")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key that it gives twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError([f"key {key!r} appears twice in one JSON object"])
+        doc[key] = value
+    return doc
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from exc
     except json.JSONDecodeError as exc:

@@ -188,6 +188,8 @@ class CommSchedule:
                 if t != t:  # NaN fails both comparisons below
                     found.append(f"edge {src}->{dst}: send time {t} is not a number")
                     continue
+                if t > self.horizon:
+                    found.append(f"edge {src}->{dst}: send time {t} is past horizon {self.horizon}")
                 if gap <= 0.0:
                     found.append(
                         f"edge {src}->{dst}: send times not increasing at {t}"
@@ -609,18 +611,10 @@ def run(config: RunConfig) -> Trace:
     n = topology.node_count
 
     states = [fresh_state(i, topology.neighbors(i)) for i in range(n)]
-    hist_times: list[list[float]] = [[] for _ in range(n)]
-    hist_values: list[list[float]] = [[] for _ in range(n)]
-    hist_factors: list[list[float]] = [[] for _ in range(n)]
-    hist_hardware: list[list[float]] = [[] for _ in range(n)]
+    # per node, one list per NodeHistory column: times, values, factors, hardware
+    history = [([], [], [], []) for _ in range(n)]
     reduced_open: dict[tuple[int, int], float] = {}
     reduced_done: dict[tuple[int, int], list[tuple[float, float]]] = {}
-
-    def record(node: int, t: float):
-        hist_times[node].append(t)
-        hist_values[node].append(states[node].l_base)
-        hist_factors[node].append(factor_of(states[node]))
-        hist_hardware[node].append(states[node].h_base)
 
     # Local aliases, taken per run so that rebinding the module names
     # (as the benchmark's tracer does) still takes effect.
@@ -628,8 +622,9 @@ def run(config: RunConfig) -> Trace:
     process_on_start = config.process_on_start
 
     for i in sorted(config.initiators):
-        on_start(states[i], 0.0)
-        record(i, 0.0)
+        state = on_start(states[i], 0.0)
+        for column, value in zip(history[i], (0.0, state.l_base, state.factor, state.h_base)):
+            column.append(value)
 
     times, srcs, dsts = setup.schedule.events()
     payloads = np.full(times.size, np.nan)
@@ -641,35 +636,38 @@ def run(config: RunConfig) -> Trace:
         payload = emit(states[src], h_src)
         if payload is None:
             continue
-        payloads[k] = payload.value
+        payloads[k] = payload
         state = states[dst]
-        apply_step2 = state.started or process_on_start
         if not state.started:
             started[k] = True
             on_start(state, h_dst)
-            record(dst, t)
+            for column, value in zip(history[dst], (t, state.l_base, state.factor, h_dst)):
+                column.append(value)
+            if not process_on_start:
+                receive(state, params, src, payload, h_dst, apply_step2=False)
+                continue
+        node_times, values, factors, hardware = history[dst]
         level_before = state.l_base + factor_of(state) * (h_dst - state.h_base)
         old_factor = state.rate_factors[src]
-        receive(state, params, src, payload, h_dst, apply_step2=apply_step2)
-        if apply_step2:
-            jumps[k] = state.l_base - level_before
-            record(dst, t)
-            new_factor = state.rate_factors[src]
-            if new_factor != old_factor:
-                key = (dst, src)
-                if new_factor < 1.0:
-                    reduced_open[key] = t
-                else:
-                    opened = reduced_open.pop(key)
-                    reduced_done.setdefault(key, []).append((opened, t))
+        receive(state, params, src, payload, h_dst)
+        jumps[k] = state.l_base - level_before
+        node_times.append(t)
+        values.append(state.l_base)
+        factors.append(state.factor)
+        hardware.append(h_dst)
+        new_factor = state.rate_factors[src]
+        if new_factor != old_factor:
+            key = (dst, src)
+            if new_factor < 1.0:
+                reduced_open[key] = t
+            else:
+                opened = reduced_open.pop(key)
+                reduced_done.setdefault(key, []).append((opened, t))
 
     for key, opened in sorted(reduced_open.items()):
         reduced_done.setdefault(key, []).append((opened, horizon))
 
-    history = tuple(
-        NodeHistory(*map(np.array, h))
-        for h in zip(hist_times, hist_values, hist_factors, hist_hardware)
-    )
+    history = tuple(NodeHistory(*map(np.array, columns)) for columns in history)
 
     return Trace(
         config=config,

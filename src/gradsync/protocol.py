@@ -26,7 +26,6 @@ __all__ = [
     "VARIANTS",
     "ProtocolParams",
     "NodeState",
-    "SyncPayload",
     "ProtocolError",
     "fresh_state",
     "rate_factor",
@@ -58,11 +57,16 @@ class ProtocolParams:
         no_slowdown  advance rule only, factors never lowered
         large_c      advance rule only, with skew_threshold overridden to
                      (1 + drift_bound) * sqrt(diameter_bound + 1)
+
+    slowdown_enabled and reduced_factor are derived on construction, replace()
+    included, and take no part in equality or hashing.
     """
 
     skew_threshold: float
     diameter_bound: int
     variant: str = "gradient"
+    slowdown_enabled: bool = field(init=False, compare=False)
+    reduced_factor: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.skew_threshold <= 0:
@@ -75,14 +79,8 @@ class ProtocolParams:
             )
         if self.variant not in VARIANTS:
             raise ProtocolError(f"unknown variant {self.variant!r}")
-
-    @property
-    def slowdown_enabled(self) -> bool:
-        return self.variant == "gradient"
-
-    @property
-    def reduced_factor(self) -> float:
-        return 1.0 / self.diameter_bound
+        object.__setattr__(self, "slowdown_enabled", self.variant == "gradient")
+        object.__setattr__(self, "reduced_factor", 1.0 / self.diameter_bound)
 
     @classmethod
     def for_variant(
@@ -96,18 +94,6 @@ class ProtocolParams:
         if variant == "large_c":
             skew_threshold = (1.0 + drift_bound) * math.sqrt(diameter_bound + 1)
         return cls(skew_threshold, diameter_bound, variant)
-
-
-@dataclass(frozen=True)
-class SyncPayload:
-    """The single value attached to an application message: the sender's
-    logical clock at the send instant."""
-
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ProtocolError(f"payload value must be >= 0, got {self.value}")
 
 
 @dataclass(slots=True)
@@ -199,19 +185,21 @@ def on_receive(
     state: NodeState,
     params: ProtocolParams,
     sender: int,
-    payload: SyncPayload,
+    payload: float,
     h_now: float,
     apply_step2: bool = True,
 ) -> NodeState:
     """Process a payload from a neighbor; instantaneous, updates the state
     in place and returns it.
 
-    In order: record the sender's value; compare the current logical clock
-    against it to lower or restore that sender's rate factor (gradient
-    variant only); advance the logical clock to min(worst view + threshold,
-    best view) if that is ahead. The clock never decreases. With
-    apply_step2=False only the view is recorded, which engines use when a
-    run is configured not to process the message that woke a node up.
+    The payload is the sender's logical clock at the send instant, a float
+    that is never negative. In order: record the sender's value; compare
+    the current logical clock against it to lower or restore that sender's
+    rate factor (gradient variant only); advance the logical clock to
+    min(worst view + threshold, best view) if that is ahead. The clock
+    never decreases. With apply_step2=False only the view is recorded,
+    which engines use when a run is configured not to process the message
+    that woke a node up.
     """
     views = state.views
     # views carries exactly the neighbor keys by construction
@@ -219,16 +207,17 @@ def on_receive(
         raise ProtocolError(f"node {state.node} received from non-neighbor {sender}")
     if not state.started:
         raise ProtocolError(f"node {state.node} received before starting")
+    if not payload >= 0.0:  # NaN included
+        raise ProtocolError(f"payload value must be >= 0, got {payload}")
 
-    value = payload.value
-    views[sender] = value
+    views[sender] = payload
     if not apply_step2:
         return state
 
     current = logical_time(state, h_now)
 
     threshold = params.skew_threshold
-    if params.slowdown_enabled and current >= value + threshold:
+    if params.slowdown_enabled and current >= payload + threshold:
         factor = params.reduced_factor
     else:
         factor = 1.0
@@ -239,19 +228,19 @@ def on_receive(
         state.reduced += (factor < 1.0) - (old < 1.0)
         state.factor = params.reduced_factor if state.reduced else 1.0
 
-    worst = min(views.values())
-    best = max(views.values())
+    heard = views.values()
+    worst, best = min(heard), max(heard)
     state.l_base = max(current, min(worst + threshold, best))
     state.h_base = h_now
     return state
 
 
-def emit_payload(state: NodeState, h_now: float) -> SyncPayload | None:
+def emit_payload(state: NodeState, h_now: float) -> float | None:
     """Payload to attach to an outgoing application message, if any.
 
     An unstarted node attaches nothing; a started node announces its
-    logical clock at the send instant.
+    logical clock at the send instant, a plain float.
     """
     if not state.started:
         return None
-    return SyncPayload(logical_time(state, h_now))
+    return logical_time(state, h_now)

@@ -346,6 +346,8 @@ class TestInputBoundary:
             ({"\u00b2->0": [0.5, 1.5, 2.5, 3.5]},  # isdigit, but int() refuses it
              "schedule.scripted key must read 'src->dst' in ASCII digits without leading zeros, "
              "got '\u00b2->0'"),
+            ({"0->1": [1.0, 2.0, 3.0, 4.0, 4.5]},  # the horizon is 4.0
+             "edge 0->1: send time 4.5 is past horizon 4.0"),
         ],
     )
     def test_malformed_scripted_sends_refused(self, tmp_path, capsys, sends, named):
@@ -356,6 +358,36 @@ class TestInputBoundary:
         assert capsys.readouterr().out == f"violation: {named}\n"
         out = tmp_path / "out"
         assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field,text,key",
+        [
+            ("skew_threshold", '"skew_threshold": 1.0, "skew_threshold": 0.5', "skew_threshold"),
+            ("schedule", '"schedule": {"mode": "scripted", "scripted": {"0->1": [1.0, 2.0, 3.0, '
+             '4.0], "0->1": [1.0, 2.0, 3.0], "1->0": [1.0, 2.0, 3.0, 4.0]}}', "0->1"),
+        ],
+        ids=["top_level", "scripted_edge"],
+    )
+    def test_repeated_json_key_refused(self, tmp_path, capsys, field, text, key):
+        # json.dumps cannot repeat a key, so the repeat is spliced in as text
+        # in place of the field; either document runs without the repeat
+        doc = config_to_dict(preset("two_node"))
+        del doc[field]
+        path = tmp_path / "config.json"
+        path.write_text("{" + text + ", " + json.dumps(doc)[1:], encoding="utf-8")
+        named = f"key {key!r} appears twice in one JSON object"
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().out == f"violation: {named}\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        sweep = tmp_path / "sweep.json"
+        base = path.read_text(encoding="utf-8")
+        sweep.write_text(f'{{"parameter": "seed", "values": [1], "base": {base}}}', encoding="utf-8")
+        assert main(["sweep", "--sweep", str(sweep), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
 
