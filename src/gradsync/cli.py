@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -98,31 +97,9 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _inject_skew(trace, text: str):
-    """The trace with DELTA added to every rebase value of NODE's history,
-    which offsets its logical clock by DELTA from its start on."""
-    node, _, delta = text.partition(":")
-    try:
-        node, delta = int(node), float(delta)
-    except ValueError:
-        raise ConfigError([f"--inject-skew must read NODE:DELTA, got {text!r}"]) from None
-    problems = []
-    if not 0 <= node < trace.node_count:
-        problems.append(f"--inject-skew node {node} is not in 0..{trace.node_count - 1}")
-    if not math.isfinite(delta):
-        problems.append(f"--inject-skew delta must be finite, got {delta}")
-    if problems:
-        raise ConfigError(problems)
-    history = list(trace.history)
-    history[node] = replace(history[node], values=history[node].values + delta)
-    return replace(trace, history=tuple(history))
-
-
 def cmd_run(args) -> int:
     config = _load_config(args)
     trace = run(config)
-    if args.inject_skew:
-        trace = _inject_skew(trace, args.inject_skew)
     report = compute_report(trace, warmup=args.warmup)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -169,8 +146,6 @@ def _sweep_point(base, parameter: str, value, variant: str) -> RunConfig:
                 [f"sweeping diameter requires the default horizon {horizon}, got {base.horizon}"]
             )
         return replace(scenario(value), label=base.label)
-    if parameter == "seed":
-        return replace(base, seed=value, variant=variant)
     return replace(base, **{parameter: value}, variant=variant)
 
 
@@ -301,8 +276,6 @@ def main(argv=None) -> int:
                        help="exit 3 if a guaranteed bound check fails")
     p_run.add_argument("--warmup", type=float, default=0.0,
                        help="measure skews only from this time on")
-    p_run.add_argument("--inject-skew", default=None, metavar="NODE:DELTA",
-                       help="testing hook: offset one node's recorded values")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep and aggregate results")

@@ -182,7 +182,7 @@ class CommSchedule:
     def violations(self) -> list[str]:
         found = []
         for (src, dst), times in sorted(self.sends.items()):
-            prev = 0.0
+            prev, first = 0.0, True  # the run start, until a send is read
             for t in times:
                 gap = t - prev
                 if t != t:  # NaN fails both comparisons below
@@ -190,15 +190,15 @@ class CommSchedule:
                     continue
                 if t > self.horizon:
                     found.append(f"edge {src}->{dst}: send time {t} is past horizon {self.horizon}")
-                if gap <= 0.0:
-                    found.append(
-                        f"edge {src}->{dst}: send times not increasing at {t}"
-                    )
+                if gap <= 0.0 and first:
+                    found.append(f"edge {src}->{dst}: send time {t} is not after the run start")
+                elif gap <= 0.0:
+                    found.append(f"edge {src}->{dst}: send times not increasing at {t}")
                 elif gap > self.max_gap:
                     found.append(
                         f"edge {src}->{dst}: gap {gap} exceeds max_gap {self.max_gap}"
                     )
-                prev = t
+                prev, first = t, False
             if times and self.horizon - times[-1] > self.max_gap:
                 found.append(
                     f"edge {src}->{dst}: no send in the last {self.horizon - times[-1]}"
@@ -613,8 +613,9 @@ def run(config: RunConfig) -> Trace:
     states = [fresh_state(i, topology.neighbors(i)) for i in range(n)]
     # per node, one list per NodeHistory column: times, values, factors, hardware
     history = [([], [], [], []) for _ in range(n)]
-    reduced_open: dict[tuple[int, int], float] = {}
-    reduced_done: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    # per (receiver, sender): the reduced-rate intervals, the last one
+    # running to the horizon while it is open
+    reduced: dict[tuple[int, int], list[tuple[float, float]]] = {}
 
     # Local aliases, taken per run so that rebinding the module names
     # (as the benchmark's tracer does) still takes effect.
@@ -657,15 +658,11 @@ def run(config: RunConfig) -> Trace:
         hardware.append(h_dst)
         new_factor = state.rate_factors[src]
         if new_factor != old_factor:
-            key = (dst, src)
+            intervals = reduced.setdefault((dst, src), [])
             if new_factor < 1.0:
-                reduced_open[key] = t
+                intervals.append((t, horizon))
             else:
-                opened = reduced_open.pop(key)
-                reduced_done.setdefault(key, []).append((opened, t))
-
-    for key, opened in sorted(reduced_open.items()):
-        reduced_done.setdefault(key, []).append((opened, horizon))
+                intervals[-1] = (intervals[-1][0], t)
 
     history = tuple(NodeHistory(*map(np.array, columns)) for columns in history)
 
@@ -677,7 +674,7 @@ def run(config: RunConfig) -> Trace:
         horizon=horizon,
         sample_times=sample_grid(times, clocks, horizon),
         events=EventLog(times, srcs, dsts, payloads, started, jumps),
-        reduced_intervals={k: tuple(iv) for k, iv in sorted(reduced_done.items())},
+        reduced_intervals={k: tuple(iv) for k, iv in sorted(reduced.items())},
         clocks=clocks,
         history=history,
     )

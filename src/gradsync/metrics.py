@@ -243,9 +243,13 @@ class BoundVerdict:
 class ReducedRateStats:
     """Durations of reduced-rate episodes.
 
-    per_node merges each node's (node, neighbor) intervals across
-    neighbors, so durations measure the periods during which the node ran
-    slowed at all.
+    per_node holds, for each node that ever slowed down, the maximal runs
+    of its rate factor below 1 as (begin, end) times: from the rebase point
+    where the factor drops to the next one at full rate, or to the horizon,
+    with runs that touch joined. durations lists their lengths, node by
+    node and in time order. A node's factor is below 1 exactly while it
+    holds some neighbor reduced, so each run is also the union of its
+    Trace.reduced_intervals.
     """
 
     per_node: dict
@@ -466,20 +470,20 @@ def rate_floor(trace: Trace) -> float:
 
 
 def reduced_rate_stats(trace: Trace) -> ReducedRateStats:
-    per_node_raw: dict[int, list] = {}
-    for (node, _neighbor), intervals in sorted(trace.reduced_intervals.items()):
-        per_node_raw.setdefault(node, []).extend(intervals)
     per_node = {}
     durations = []
-    for node in sorted(per_node_raw):
-        merged = []
-        for lo, hi in sorted(per_node_raw[node]):
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        per_node[node] = tuple(merged)
-        durations.extend(hi - lo for lo, hi in merged)
+    for node, hist in enumerate(trace.history):
+        # +1 where a run of reduced factors begins, -1 just past its end
+        steps = np.diff((hist.factors < 1.0).astype(np.int8), prepend=0, append=0)
+        if not steps.any():
+            continue
+        lo = hist.times[steps[:-1] == 1]
+        hi = np.append(hist.times, trace.horizon)[steps == -1]
+        # a run that begins where the previous one ended continues it
+        apart = lo[1:] > hi[:-1]
+        lo, hi = lo[np.r_[True, apart]], hi[np.r_[apart, True]]
+        per_node[node] = tuple(zip(lo.tolist(), hi.tolist()))
+        durations.extend((hi - lo).tolist())
     return ReducedRateStats(
         per_node=per_node,
         durations=tuple(durations),

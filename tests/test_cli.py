@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from gradsync.cli import main
-from gradsync.engine import build_wait_chain_scenario, config_to_dict
+from gradsync.engine import build_wait_chain_scenario, config_to_dict, run
 from gradsync.presets import preset
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -29,6 +30,19 @@ def run_cli(*argv, cwd=None):
 def write_config(path: Path, config) -> Path:
     path.write_text(json.dumps(config_to_dict(config)), encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def node_0_ahead(monkeypatch):
+    """The CLI's runs with node 0's logical clock 50 ahead from its start on."""
+
+    def ahead(config):
+        trace = run(config)
+        history = list(trace.history)
+        history[0] = replace(history[0], values=history[0].values + 50.0)
+        return replace(trace, history=tuple(history))
+
+    monkeypatch.setattr("gradsync.cli.run", ahead)
 
 
 class TestRun:
@@ -61,33 +75,12 @@ class TestRun:
         assert code == 2
         assert "drift_bound" in capsys.readouterr().out
 
-    def test_strict_with_injected_violation_exits_3(self, tmp_path):
-        code = main(
-            [
-                "run",
-                "--preset",
-                "wait_chain",
-                "--out",
-                str(tmp_path / "out"),
-                "--strict",
-                "--inject-skew",
-                "0:50.0",
-            ]
-        )
-        assert code == 3
+    def test_strict_with_injected_violation_exits_3(self, tmp_path, node_0_ahead):
+        out = str(tmp_path / "out")
+        assert main(["run", "--preset", "wait_chain", "--out", out, "--strict"]) == 3
 
-    def test_injected_violation_without_strict_still_writes(self, tmp_path):
-        code = main(
-            [
-                "run",
-                "--preset",
-                "wait_chain",
-                "--out",
-                str(tmp_path / "out"),
-                "--inject-skew",
-                "0:50.0",
-            ]
-        )
+    def test_injected_violation_without_strict_still_writes(self, tmp_path, node_0_ahead):
+        code = main(["run", "--preset", "wait_chain", "--out", str(tmp_path / "out")])
         assert code == 0
         doc = json.loads((tmp_path / "out" / "summary.json").read_text())
         verdicts = {v["name"]: v for v in doc["report"]["verdicts"]}
@@ -348,6 +341,10 @@ class TestInputBoundary:
              "got '\u00b2->0'"),
             ({"0->1": [1.0, 2.0, 3.0, 4.0, 4.5]},  # the horizon is 4.0
              "edge 0->1: send time 4.5 is past horizon 4.0"),
+            ({"0->1": [0.0, 1.0, 2.0, 3.0, 4.0]},
+             "edge 0->1: send time 0.0 is not after the run start"),
+            ({"0->1": [-0.5, 0.5, 1.5, 2.5, 3.5]},
+             "edge 0->1: send time -0.5 is not after the run start"),
         ],
     )
     def test_malformed_scripted_sends_refused(self, tmp_path, capsys, sends, named):
@@ -451,24 +448,6 @@ class TestInputBoundary:
         code = main(["sweep", "--sweep", str(path), "--out", str(out), "--warmup", "nan"])
         assert code == 2
         assert "warmup nan leaves no sample" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "spec,named",
-        [
-            ("7", "--inject-skew must read NODE:DELTA, got '7'"),
-            ("x:1", "--inject-skew must read NODE:DELTA, got 'x:1'"),
-            ("99:1", "--inject-skew node 99 is not in 0..1"),
-            ("-1:1", "--inject-skew node -1 is not in 0..1"),
-            ("1:nan", "--inject-skew delta must be finite, got nan"),
-            ("1:-inf", "--inject-skew delta must be finite, got -inf"),
-        ],
-    )
-    def test_malformed_inject_skew_refused(self, tmp_path, capsys, spec, named):
-        out = tmp_path / "out"
-        argv = ["run", "--preset", "two_node", f"--inject-skew={spec}", "--out", str(out)]
-        assert main(argv) == 2
-        assert named in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

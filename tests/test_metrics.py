@@ -155,6 +155,67 @@ class TestReducedRateStats:
             for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
                 assert b1 < a2  # disjoint and ordered after merging
 
+    @staticmethod
+    def merged_edge_intervals(trace):
+        """Each node's (node, neighbor) intervals merged across neighbors,
+        touching ones joined: the episodes read from the history must be
+        exactly these."""
+        raw = {}
+        for (node, _neighbor), intervals in sorted(trace.reduced_intervals.items()):
+            raw.setdefault(node, []).extend(intervals)
+        per_node = {}
+        for node in sorted(raw):
+            merged = []
+            for lo, hi in sorted(raw[node]):
+                if merged and lo <= merged[-1][1]:
+                    merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+                else:
+                    merged.append((lo, hi))
+            per_node[node] = tuple(merged)
+        return per_node
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # three runs here begin at the rebase time where the last one ended
+            RunConfig(
+                topology=TopologySpec(kind="grid", rows=4, cols=5),
+                drift_bound=0.3,
+                max_gap=1.0,
+                skew_threshold=0.1,
+                initiators=(0, 5),
+                drift_mode="piecewise_random",
+                drift_dwell=2.0,
+            ),
+            *(
+                RunConfig(
+                    topology=TopologySpec(kind="random_geometric", n=30, radius=0.35),
+                    drift_bound=0.2,
+                    max_gap=1.0,
+                    skew_threshold=0.3,
+                    initiators=(0, 5),
+                    drift_mode="piecewise_random",
+                    schedule_mode="random_uniform",
+                    seed=seed,
+                )
+                for seed in range(5)
+            ),
+            # the one episode opens at the horizon
+            build_wait_chain_scenario(4, 0.1, 1.0, 1.0, horizon=4.0),
+        ],
+        ids=["grid", *(f"rgg_seed{seed}" for seed in range(5)), "wait_chain_to_4"],
+    )
+    def test_episodes_are_the_merged_edge_intervals(self, config):
+        trace = run(config)
+        stats = reduced_rate_stats(trace)
+        expected = self.merged_edge_intervals(trace)
+        assert stats.per_node == expected
+        durations = [hi - lo for intervals in expected.values() for lo, hi in intervals]
+        assert stats.durations == tuple(durations)
+        assert stats.count == len(durations)
+        assert stats.total == sum(durations)
+        assert stats.longest == max(durations)
+
 
 class TestBoundChecks:
     def fake_report(self, **kw):
