@@ -81,6 +81,13 @@ class HardwareClock:
     def horizon(self) -> float:
         return self.schedule.horizon
 
+    @property
+    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(breaks, origins, rates): segment k begins at breaks[k], where H
+        reads origins[k], and advances at rates[k] = 1 + drift; H(t) is
+        origins[k] + rates[k] * (t - breaks[k]) on it."""
+        return self._breaks, self._origin, self._rates
+
     def hardware_time(self, t):
         """H(t) for scalar or array t in [0, horizon]; exact per segment."""
         if isinstance(t, (int, float)):

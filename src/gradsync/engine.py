@@ -180,32 +180,49 @@ class CommSchedule:
     sends: dict = field(default_factory=dict)
 
     def violations(self) -> list[str]:
+        """Every breach of the gap bound and the horizon, edge by edge.
+
+        A periodic schedule shares one tuple among all edges, so each
+        distinct tuple is checked once and its faults named on every edge.
+        """
         found = []
+        # keyed by identity: hashing a tuple walks it, and self.sends keeps
+        # every tuple alive, so no id is reused during the call
+        faults: dict[int, list[str]] = {}
         for (src, dst), times in sorted(self.sends.items()):
-            prev, first = 0.0, True  # the run start, until a send is read
-            for t in times:
-                gap = t - prev
-                if t != t:  # NaN fails both comparisons below
-                    found.append(f"edge {src}->{dst}: send time {t} is not a number")
-                    continue
-                if t > self.horizon:
-                    found.append(f"edge {src}->{dst}: send time {t} is past horizon {self.horizon}")
-                if gap <= 0.0 and first:
-                    found.append(f"edge {src}->{dst}: send time {t} is not after the run start")
-                elif gap <= 0.0:
-                    found.append(f"edge {src}->{dst}: send times not increasing at {t}")
-                elif gap > self.max_gap:
-                    found.append(
-                        f"edge {src}->{dst}: gap {gap} exceeds max_gap {self.max_gap}"
-                    )
-                prev, first = t, False
-            if times and self.horizon - times[-1] > self.max_gap:
-                found.append(
-                    f"edge {src}->{dst}: no send in the last {self.horizon - times[-1]}"
-                    f" before the horizon (max_gap {self.max_gap})"
-                )
-            if not times and self.horizon > self.max_gap:
-                found.append(f"edge {src}->{dst}: no sends scheduled")
+            named = faults.get(id(times))
+            if named is None:
+                named = faults[id(times)] = self._faults(times)
+            for fault in named:
+                found.append(f"edge {src}->{dst}: {fault}")
+        return found
+
+    def _faults(self, times: tuple) -> list[str]:
+        """The faults of one edge's send times, each worded to follow its
+        edge's name."""
+        found = []
+        prev, first = 0.0, True  # the run start, until a send is read
+        for t in times:
+            gap = t - prev
+            if t != t:  # NaN fails both comparisons below
+                found.append(f"send time {t} is not a number")
+                continue
+            if t > self.horizon:
+                found.append(f"send time {t} is past horizon {self.horizon}")
+            if gap <= 0.0 and first:
+                found.append(f"send time {t} is not after the run start")
+            elif gap <= 0.0:
+                found.append(f"send times not increasing at {t}")
+            elif gap > self.max_gap:
+                found.append(f"gap {gap} exceeds max_gap {self.max_gap}")
+            prev, first = t, False
+        if times and self.horizon - times[-1] > self.max_gap:
+            found.append(
+                f"no send in the last {self.horizon - times[-1]}"
+                f" before the horizon (max_gap {self.max_gap})"
+            )
+        if not times and self.horizon > self.max_gap:
+            found.append("no sends scheduled")
         return found
 
     def events(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,6 +253,49 @@ def _capped_step(t: float, gap: float, cap: float) -> float:
     while nxt - t > cap:
         nxt = math.nextafter(nxt, -math.inf)
     return nxt
+
+
+def _uniform_sends(edges, seed: int, max_gap: float, low: float, horizon: float) -> dict:
+    """Send times per edge with gaps max_gap - u, u uniform on
+    [0, max_gap - low), each step taken as _capped_step takes it.
+
+    Each edge has its own generator and draws its gaps a chunk at a time: a
+    vector draw yields the same values as that many scalar draws. A chunk
+    covers the horizon at the mean gap, with a margin, up to _GAP_CHUNK
+    draws; draws past the horizon are discarded. The first chunks of a group
+    of edges are stepped together by np.cumsum along each row, whose
+    sequential adds give the floats that t + gap gives step by step. From a
+    row's first step whose float difference exceeds max_gap, or past its
+    first chunk, _capped_step takes over.
+    """
+    chunk = min(int(2.0 * horizon / (max_gap + low)) + 16, _GAP_CHUNK)
+    rows = max(1, _GAP_CHUNK * 64 // chunk)  # at most 2 MB of steps per group
+    sends = {}
+    for g0 in range(0, len(edges), rows):
+        group = edges[g0 : g0 + rows]
+        rngs = [np.random.default_rng((seed, 0x5C4ED, src, dst)) for src, dst in group]
+        gaps = max_gap - np.array([rng.uniform(0.0, max_gap - low, size=chunk) for rng in rngs])
+        steps = np.cumsum(gaps, axis=1)
+        over = np.diff(steps, axis=1, prepend=0.0) > max_gap
+        # per row: j leading steps need no capping, k lie within the horizon
+        # (each row is non-decreasing, so those lead it too)
+        uncapped = np.where(over.any(axis=1), over.argmax(axis=1), chunk).tolist()
+        within = (steps <= horizon).sum(axis=1).tolist()
+        for edge, rng, gap_row, step_row, j, k in zip(group, rngs, gaps, steps, uncapped, within):
+            times = step_row[: min(j, k)].tolist()
+            if k >= j:  # step j needs capping, or the chunk ends within the horizon
+                t = times[-1] if times else 0.0
+                pending = gap_row[j:].tolist()
+                while t <= horizon:
+                    for gap in pending:
+                        t = _capped_step(t, gap, max_gap)
+                        if t > horizon:
+                            break
+                        times.append(t)
+                    else:
+                        pending = (max_gap - rng.uniform(0.0, max_gap - low, size=chunk)).tolist()
+            sends[edge] = tuple(times)
+    return sends
 
 
 def generate_schedule(
@@ -279,22 +339,7 @@ def generate_schedule(
             raise ConfigError(
                 [f"gap_min must lie in [0, max_gap), got {low} with max_gap {max_gap}"]
             )
-        # Gaps are drawn a chunk at a time: a vector draw yields the same
-        # values as that many scalar draws. A chunk covers the horizon at the
-        # mean gap, with a margin, up to _GAP_CHUNK draws; draws past the
-        # horizon are discarded.
-        chunk = min(int(2.0 * horizon / (max_gap + low)) + 16, _GAP_CHUNK)
-        for src, dst in topology.directed_edges():
-            rng = np.random.default_rng((seed, 0x5C4ED, src, dst))
-            times = []
-            t = 0.0
-            while t <= horizon:
-                for u in rng.uniform(0.0, max_gap - low, size=chunk).tolist():
-                    t = _capped_step(t, max_gap - u, max_gap)
-                    if t > horizon:
-                        break
-                    times.append(t)
-            sends[(src, dst)] = tuple(times)
+        sends = _uniform_sends(topology.directed_edges(), seed, max_gap, low, horizon)
     elif mode == "scripted":
         if scripted is None:
             raise ConfigError(["scripted schedule mode needs explicit send times"])

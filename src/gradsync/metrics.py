@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -182,30 +183,61 @@ def sample_history(
     """Logical values and rate factors of every node at real times `times`;
     the factors are None when not asked for.
 
-    times must be non-decreasing. One row per node, NaN before the node's
-    first rebase point. Between rebase points a logical clock is linear in
-    hardware time, so the values are exact.
+    times must be non-decreasing and lie in [0, horizon]. One row per node,
+    NaN before the node's first rebase point. Between rebase points a
+    logical clock is linear in hardware time, so the values are exact.
+
+    No time is searched for: per node, only the rebase points and drift
+    segments in effect somewhere in [times[0], times[-1]] are placed among
+    the times, and each one's constants are repeated over the times it
+    covers.
     """
     ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or np.any(ts[1:] < ts[:-1]):
+    if ts.ndim != 1 or not np.all(ts[1:] >= ts[:-1]):
         raise ValueError("sample times must be a non-decreasing 1-d sequence")
     logical = np.full((len(history), ts.size), np.nan)
     alphas = np.full((len(history), ts.size), np.nan) if factors else None
+    if ts.size == 0:
+        return logical, alphas
+    earliest, latest = ts[[0, -1]].tolist()
     for i, (hist, clock) in enumerate(zip(history, clocks)):
-        if hist.times.size == 0:
-            continue
-        first = int(np.searchsorted(ts, hist.times[0], side="left"))
+        if not (earliest >= 0.0 and latest <= clock.horizon):
+            raise ValueError(f"time outside covered horizon [0, {clock.horizon}]")
+        span, first, counts = _pieces(hist.times, ts)
         if first == ts.size:
             continue
         now = ts[first:]
-        base = np.searchsorted(hist.times, now, side="right") - 1
-        alpha = hist.factors[base]
-        logical[i, first:] = hist.values[base] + alpha * (
-            clock.hardware_time(now) - hist.hardware[base]
+        breaks, origins, rates = clock.segments
+        seg, _, seg_counts = _pieces(breaks, now)
+        hardware = origins[seg].repeat(seg_counts) + rates[seg].repeat(seg_counts) * (
+            now - breaks[seg].repeat(seg_counts)
+        )
+        alpha = hist.factors[span].repeat(counts)
+        logical[i, first:] = hist.values[span].repeat(counts) + alpha * (
+            hardware - hist.hardware[span].repeat(counts)
         )
         if factors:
             alphas[i, first:] = alpha
     return logical, alphas
+
+
+def _pieces(starts: np.ndarray, times: np.ndarray) -> tuple[slice, int, np.ndarray]:
+    """The pieces of a piecewise function that hold at sorted times.
+
+    Piece k holds from starts[k], which is non-decreasing, until starts[k + 1].
+    Returns (span, first, counts): span selects the pieces that hold at some
+    time, and from times[first] on they hold in turn, piece span.start + k at
+    the next counts[k] times. The times before times[first] precede every
+    piece; first is len(times) where all do. A piece that starts with the
+    next holds at no time, so equal starts resolve to the last.
+    """
+    lo, hi = starts.searchsorted((times[0], times[-1]), side="right").tolist()
+    span = slice(max(lo - 1, 0), hi)
+    # where each piece's run begins, then the end of the last run
+    at = np.empty(span.stop - span.start + 1, dtype=np.intp)
+    at[:-1] = times.searchsorted(starts[span], side="left")
+    at[-1] = times.size
+    return span, int(at[0]), at[1:] - at[:-1]
 
 
 def _rates(alphas: np.ndarray, clocks, times: np.ndarray) -> np.ndarray:
@@ -469,9 +501,9 @@ def rate_floor(trace: Trace) -> float:
     return lowest if lowest < math.inf else float("nan")
 
 
-def reduced_rate_stats(trace: Trace) -> ReducedRateStats:
-    per_node = {}
-    durations = []
+def _episodes(trace: Trace):
+    """(node, begins, ends) of each node that ever slowed down, in node
+    order: its reduced-rate episodes as ReducedRateStats defines them."""
     for node, hist in enumerate(trace.history):
         # +1 where a run of reduced factors begins, -1 just past its end
         steps = np.diff((hist.factors < 1.0).astype(np.int8), prepend=0, append=0)
@@ -481,7 +513,13 @@ def reduced_rate_stats(trace: Trace) -> ReducedRateStats:
         hi = np.append(hist.times, trace.horizon)[steps == -1]
         # a run that begins where the previous one ended continues it
         apart = lo[1:] > hi[:-1]
-        lo, hi = lo[np.r_[True, apart]], hi[np.r_[apart, True]]
+        yield node, lo[np.r_[True, apart]], hi[np.r_[apart, True]]
+
+
+def reduced_rate_stats(trace: Trace) -> ReducedRateStats:
+    per_node = {}
+    durations = []
+    for node, lo, hi in _episodes(trace):
         per_node[node] = tuple(zip(lo.tolist(), hi.tolist()))
         durations.extend((hi - lo).tolist())
     return ReducedRateStats(
@@ -547,7 +585,9 @@ def compute_report(trace: Trace, warmup: float = 0.0) -> SkewReport:
         per_edge_max_skew=per_edge,
         gradient_profile=profile,
         min_rate=rate_floor(trace),
-        reduced_rate_durations=reduced_rate_stats(trace).durations,
+        reduced_rate_durations=tuple(
+            chain.from_iterable((hi - lo).tolist() for _, lo, hi in _episodes(trace))
+        ),
         bound_verdicts=(),
         diameter=trace.topology.diameter,
         effective_skew_threshold=trace.effective_skew_threshold,
@@ -617,10 +657,11 @@ def summary_json_text(trace: Trace, report: SkewReport) -> str:
     can be reproduced from its own summary."""
     from .engine import config_to_dict
 
+    # a shallow copy: asdict would deep-copy every reduced-rate duration
+    block = {f.name: getattr(report, f.name) for f in fields(report)}
     # the diameter and the effective threshold are given at top level
-    block = asdict(report)
     del block["diameter"], block["effective_skew_threshold"]
-    block["verdicts"] = block.pop("bound_verdicts")
+    block["verdicts"] = [asdict(v) for v in block.pop("bound_verdicts")]
     block["per_edge_max_skew"] = [
         [i, j, v] for (i, j), v in sorted(report.per_edge_max_skew.items())
     ]

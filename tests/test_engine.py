@@ -103,6 +103,117 @@ class TestGenerateSchedule:
             )
 
 
+    @staticmethod
+    def loop_uniform_sends(topology, max_gap, seed, horizon, gap_min=None):
+        """The random_uniform schedule stepped by a plain loop, one
+        _capped_step per drawn gap, and the number of steps it capped."""
+        low = max_gap / 4.0 if gap_min is None else gap_min
+        chunk = min(int(2.0 * horizon / (max_gap + low)) + 16, engine._GAP_CHUNK)
+        sends, capped = {}, 0
+        for src, dst in topology.directed_edges():
+            rng = np.random.default_rng((seed, 0x5C4ED, src, dst))
+            times = []
+            t = 0.0
+            while t <= horizon:
+                for u in rng.uniform(0.0, max_gap - low, size=chunk).tolist():
+                    prev, t = t, engine._capped_step(t, max_gap - u, max_gap)
+                    capped += t != prev + (max_gap - u)
+                    if t > horizon:
+                        break
+                    times.append(t)
+            sends[(src, dst)] = tuple(times)
+        return sends, capped
+
+    @pytest.mark.parametrize(
+        "max_gap, gap_min, horizon",
+        [
+            (1.0, None, 30.0),
+            (1e-3, 0.0, 0.5),
+            (1e-3, None, 5.0),  # an edge needs more than one chunk of draws
+            (1.0, 1.0 - 4e-16, 200.0),  # gaps within ulps of max_gap get capped
+        ],
+    )
+    def test_random_uniform_steps_match_the_scalar_loop(self, max_gap, gap_min, horizon):
+        capped = 0
+        for seed in range(12):
+            expected, count = self.loop_uniform_sends(ring(5), max_gap, seed, horizon, gap_min)
+            capped += count
+            sched = generate_schedule(
+                ring(5), max_gap, "random_uniform", seed, horizon, gap_min=gap_min
+            )
+            assert sched.sends == expected
+        if gap_min is not None and gap_min > 0.5:
+            assert capped > 0
+        if horizon == 5.0:
+            assert max(len(times) for times in expected.values()) > engine._GAP_CHUNK
+
+    @staticmethod
+    def walk_every_edge(schedule):
+        """CommSchedule.violations as one walk per edge."""
+        found = []
+        for (src, dst), times in sorted(schedule.sends.items()):
+            prev, first = 0.0, True
+            for t in times:
+                gap = t - prev
+                if t != t:
+                    found.append(f"edge {src}->{dst}: send time {t} is not a number")
+                    continue
+                if t > schedule.horizon:
+                    found.append(
+                        f"edge {src}->{dst}: send time {t} is past horizon {schedule.horizon}"
+                    )
+                if gap <= 0.0 and first:
+                    found.append(f"edge {src}->{dst}: send time {t} is not after the run start")
+                elif gap <= 0.0:
+                    found.append(f"edge {src}->{dst}: send times not increasing at {t}")
+                elif gap > schedule.max_gap:
+                    found.append(
+                        f"edge {src}->{dst}: gap {gap} exceeds max_gap {schedule.max_gap}"
+                    )
+                prev, first = t, False
+            if times and schedule.horizon - times[-1] > schedule.max_gap:
+                found.append(
+                    f"edge {src}->{dst}: no send in the last {schedule.horizon - times[-1]}"
+                    f" before the horizon (max_gap {schedule.max_gap})"
+                )
+            if not times and schedule.horizon > schedule.max_gap:
+                found.append(f"edge {src}->{dst}: no sends scheduled")
+        return found
+
+    def test_violations_match_one_walk_per_edge(self):
+        shared = (0.0, 1.0, 1.0, 2.5, math.nan, 3.0)  # one tuple on three edges
+        sends = {
+            (0, 1): (0.5, math.nan, 1.5, 1.5, 2.7, 4.5),
+            (1, 0): shared,
+            (1, 2): (),
+            (2, 1): shared,
+            (2, 3): (1.0, 2.0, 3.0, 4.0),
+            (3, 2): shared,
+            (3, 0): (-0.5, 0.5, 1.0),
+            (0, 3): (1.0, 2.0, 3.0, 4.0, 4.0),
+        }
+        schedule = engine.CommSchedule(max_gap=1.0, horizon=4.0, sends=sends)
+        found = schedule.violations()
+        assert found == self.walk_every_edge(schedule)
+        for edge in ("1->0", "2->1", "3->2"):
+            assert f"edge {edge}: send time 0.0 is not after the run start" in found
+        assert "edge 0->1: send time 4.5 is past horizon 4.0" in found
+
+    def test_periodic_schedule_checked_once_per_tuple(self, monkeypatch):
+        sched = generate_schedule(ring(6), 1.0, "periodic", seed=0, horizon=7.0)
+        assert len({id(times) for times in sched.sends.values()}) == 1
+        walks = []
+        walk = engine.CommSchedule._faults
+        monkeypatch.setattr(
+            engine.CommSchedule, "_faults", lambda self, times: walks.append(1) or walk(self, times)
+        )
+        faulty = engine.CommSchedule(max_gap=0.5, horizon=7.5, sends=sched.sends)
+        found = faulty.violations()
+        assert len(walks) == 1
+        assert found == self.walk_every_edge(faulty)
+        assert len(found) == len(sched.sends) * 7  # every gap exceeds max_gap on every edge
+
+
 SCRIPTED_TIES = {
     # equal times across edges and nodes, so every tie-break key is used
     (0, 1): (0.5, 1.0, 2.0, 3.0),

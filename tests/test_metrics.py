@@ -408,6 +408,102 @@ class TestSerialization:
         assert doc["start_times"] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
+def searched_sample_history(history, clocks, times):
+    """sample_history as one search per sample: into the node's whole rebase
+    history for the rebase point, and into its drift breakpoints through
+    hardware_time."""
+    ts = np.asarray(times, dtype=float)
+    logical = np.full((len(history), ts.size), np.nan)
+    alphas = np.full((len(history), ts.size), np.nan)
+    for i, (hist, clock) in enumerate(zip(history, clocks)):
+        if hist.times.size == 0:
+            continue
+        first = int(np.searchsorted(ts, hist.times[0], side="left"))
+        if first == ts.size:
+            continue
+        now = ts[first:]
+        base = np.searchsorted(hist.times, now, side="right") - 1
+        alpha = hist.factors[base]
+        logical[i, first:] = hist.values[base] + alpha * (
+            clock.hardware_time(now) - hist.hardware[base]
+        )
+        alphas[i, first:] = alpha
+    return logical, alphas
+
+
+EVALUATOR_CONFIGS = {
+    **{name: preset(name) for name in sorted(PRESETS)},
+    **{
+        f"wait_chain_d{d}_{variant}_{'process' if process else 'start_only'}": (
+            build_wait_chain_scenario(d, 0.1, 1.0, 1.0, variant=variant, process_on_start=process)
+        )
+        for d in (4, 16)
+        for variant in ("gradient", "no_slowdown", "large_c")
+        for process in (True, False)
+    },
+    "grid": RunConfig(
+        topology=TopologySpec(kind="grid", rows=4, cols=5),
+        drift_bound=0.3,
+        max_gap=1.0,
+        skew_threshold=0.1,
+        initiators=(0, 5),
+        drift_mode="piecewise_random",
+        drift_dwell=2.0,
+        schedule_mode="random_uniform",
+    ),
+    "ring": RunConfig(
+        topology=TopologySpec(kind="ring", n=7),
+        drift_bound=0.2,
+        max_gap=1.0,
+        skew_threshold=0.5,
+        drift_mode="piecewise_random",
+        drift_dwell=0.3,
+        schedule_mode="random_uniform",
+        gap_min=0.0,
+    ),
+}
+
+
+def evaluator_time_sets(trace):
+    grid = trace.sample_times
+    off_grid = np.sort(np.random.default_rng(4).uniform(0.0, trace.horizon, 600))
+    return {
+        "grid": grid,
+        "off_grid": off_grid,
+        "repeated": np.repeat(grid[::3], 3),
+        "slice": grid[grid.size // 2 : grid.size // 2 + 4],
+        "last": grid[-1:],
+    }
+
+
+class TestSampleHistory:
+    @pytest.mark.parametrize("name", sorted(EVALUATOR_CONFIGS))
+    def test_matches_one_search_per_sample(self, name):
+        trace = run(EVALUATOR_CONFIGS[name])
+        points = np.concatenate([hist.times for hist in trace.history])
+        assert np.unique(points).size < points.size  # equal-time rebase points occur
+        for label, times in evaluator_time_sets(trace).items():
+            logical, alphas = metrics.sample_history(trace.history, trace.clocks, times)
+            expected_logical, expected_alphas = searched_sample_history(
+                trace.history, trace.clocks, times
+            )
+            np.testing.assert_array_equal(logical, expected_logical, err_msg=label, strict=True)
+            np.testing.assert_array_equal(alphas, expected_alphas, err_msg=label, strict=True)
+            assert np.array_equal(trace.evaluate_logical(times), logical, equal_nan=True)
+
+    def test_refuses_times_out_of_order_or_range(self):
+        trace = run(preset("two_node"))
+        with pytest.raises(ValueError, match="sample times must be a non-decreasing 1-d sequence"):
+            trace.evaluate_logical([1.0, 2.0, 1.5])
+        with pytest.raises(ValueError, match="sample times must be a non-decreasing 1-d sequence"):
+            trace.evaluate_logical([1.0, float("nan"), 2.0])
+        outside = rf"time outside covered horizon \[0, {trace.horizon}\]"
+        for times in ([-1e-9, 1.0], [1.0, trace.horizon + 1e-9], [float("nan")]):
+            with pytest.raises(ValueError, match=outside):
+                trace.evaluate_logical(times)
+        assert trace.evaluate_logical([0.0, trace.horizon]).shape == (2, 2)
+
+
 # Reference report kernel: the per-column loop and the chunked all-pairs
 # matrix that the blocked reductions in gradsync.metrics replaced, run on a
 # dense nodes x samples matrix. The blocked code performs the same float
