@@ -8,7 +8,6 @@ functions stay piecewise linear.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +50,6 @@ class DriftSchedule:
                     f"segment drift {rate} exceeds drift_bound {self.drift_bound}"
                 )
 
-    def drift_at(self, t):
-        """Drift in effect at time t; at a breakpoint, the new segment's."""
-        breaks = np.asarray(self.breakpoints)
-        idx = np.searchsorted(breaks, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self.rates) - 1)
-        return np.asarray(self.rates)[idx]
-
 
 @dataclass(frozen=True)
 class HardwareClock:
@@ -70,12 +62,7 @@ class HardwareClock:
         rates = 1.0 + np.asarray(self.schedule.rates, dtype=float)
         spans = np.diff(np.append(breaks, self.schedule.horizon))
         origin = np.concatenate([[0.0], np.cumsum(rates * spans)[:-1]])
-        object.__setattr__(self, "_breaks", breaks)
-        object.__setattr__(self, "_rates", rates)
-        object.__setattr__(self, "_origin", origin)
-        object.__setattr__(self, "_breaks_list", breaks.tolist())
-        object.__setattr__(self, "_rates_list", rates.tolist())
-        object.__setattr__(self, "_origin_list", origin.tolist())
+        object.__setattr__(self, "_segments", (breaks, origin, rates))
 
     @property
     def horizon(self) -> float:
@@ -86,35 +73,21 @@ class HardwareClock:
         """(breaks, origins, rates): segment k begins at breaks[k], where H
         reads origins[k], and advances at rates[k] = 1 + drift; H(t) is
         origins[k] + rates[k] * (t - breaks[k]) on it."""
-        return self._breaks, self._origin, self._rates
+        return self._segments
 
     def hardware_time(self, t):
-        """H(t) for scalar or array t in [0, horizon]; exact per segment."""
-        if isinstance(t, (int, float)):
-            if t < 0 or t > self.schedule.horizon:
-                raise ValueError(
-                    f"time outside covered horizon [0, {self.schedule.horizon}]"
-                )
-            k = bisect_right(self._breaks_list, t) - 1
-            if k < 0:
-                k = 0
-            return self._origin_list[k] + self._rates_list[k] * (t - self._breaks_list[k])
+        """H(t) for scalar or array t in [0, horizon]; exact per segment. A
+        scalar t gives a float."""
         ts = np.asarray(t, dtype=float)
-        if np.any(ts < 0) or np.any(ts > self.schedule.horizon):
+        if not np.all((ts >= 0) & (ts <= self.schedule.horizon)):
             raise ValueError(
                 f"time outside covered horizon [0, {self.schedule.horizon}]"
             )
-        idx = self._segment(ts)
-        out = self._origin[idx] + self._rates[idx] * (ts - self._breaks[idx])
+        breaks, origins, rates = self._segments
+        # k >= 0: every t is at least breaks[0] = 0
+        k = breaks.searchsorted(ts, side="right") - 1
+        out = origins[k] + rates[k] * (ts - breaks[k])
         return float(out) if ts.ndim == 0 else out
-
-    def rate_at(self, t):
-        """Clock rate 1 + drift at time t; at a breakpoint, the new segment's."""
-        return self._rates[self._segment(t)]
-
-    def _segment(self, t):
-        """Index of the drift segment in effect at time t."""
-        return np.clip(np.searchsorted(self._breaks, t, side="right") - 1, 0, len(self._rates) - 1)
 
 
 def make_drift_schedule(

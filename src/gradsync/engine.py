@@ -626,7 +626,7 @@ def sample_grid(event_times, clocks, horizon: float) -> np.ndarray:
     samples every logical clock is linear in real time."""
     parts = [np.array([0.0, horizon]), np.asarray(event_times, dtype=float)]
     for clock in clocks:
-        breaks = np.asarray(clock.schedule.breakpoints, dtype=float)
+        breaks = clock.segments[0]
         parts.append(breaks[(breaks > 0.0) & (breaks < horizon)])
     return np.unique(np.concatenate(parts))
 

@@ -171,21 +171,23 @@ class Trace:
     def rates(self) -> np.ndarray:
         """Forward logical rate on each sample's interval; NaN at the final
         sample, which has no forward interval."""
-        alphas = sample_history(self.history, self.clocks, self.sample_times)[1]
-        rates = _rates(alphas, self.clocks, self.sample_times)
+        rates = sample_history(self.history, self.clocks, self.sample_times)[2]
         rates[:, -1] = np.nan
         return rates
 
 
 def sample_history(
     history, clocks, times, factors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Logical values and rate factors of every node at real times `times`;
-    the factors are None when not asked for.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Logical values, rate factors and logical rates of every node at real
+    times `times`; the factors and rates are None when not asked for.
 
     times must be non-decreasing and lie in [0, horizon]. One row per node,
     NaN before the node's first rebase point. Between rebase points a
-    logical clock is linear in hardware time, so the values are exact.
+    logical clock is linear in hardware time, so the values are exact. The
+    logical rate is the factor times the hardware rate 1 + drift, both of
+    the pieces in effect from that time on: at a rebase point or a drift
+    breakpoint, the new piece's.
 
     No time is searched for: per node, only the rebase points and drift
     segments in effect somewhere in [times[0], times[-1]] are placed among
@@ -197,8 +199,9 @@ def sample_history(
         raise ValueError("sample times must be a non-decreasing 1-d sequence")
     logical = np.full((len(history), ts.size), np.nan)
     alphas = np.full((len(history), ts.size), np.nan) if factors else None
+    rates = np.full((len(history), ts.size), np.nan) if factors else None
     if ts.size == 0:
-        return logical, alphas
+        return logical, alphas, rates
     earliest, latest = ts[[0, -1]].tolist()
     for i, (hist, clock) in enumerate(zip(history, clocks)):
         if not (earliest >= 0.0 and latest <= clock.horizon):
@@ -207,9 +210,10 @@ def sample_history(
         if first == ts.size:
             continue
         now = ts[first:]
-        breaks, origins, rates = clock.segments
+        breaks, origins, hw_rates = clock.segments
         seg, _, seg_counts = _pieces(breaks, now)
-        hardware = origins[seg].repeat(seg_counts) + rates[seg].repeat(seg_counts) * (
+        hw_rate = hw_rates[seg].repeat(seg_counts)
+        hardware = origins[seg].repeat(seg_counts) + hw_rate * (
             now - breaks[seg].repeat(seg_counts)
         )
         alpha = hist.factors[span].repeat(counts)
@@ -218,7 +222,8 @@ def sample_history(
         )
         if factors:
             alphas[i, first:] = alpha
-    return logical, alphas
+            np.multiply(alpha, hw_rate, out=rates[i, first:])
+    return logical, alphas, rates
 
 
 def _pieces(starts: np.ndarray, times: np.ndarray) -> tuple[slice, int, np.ndarray]:
@@ -238,14 +243,6 @@ def _pieces(starts: np.ndarray, times: np.ndarray) -> tuple[slice, int, np.ndarr
     at[:-1] = times.searchsorted(starts[span], side="left")
     at[-1] = times.size
     return span, int(at[0]), at[1:] - at[:-1]
-
-
-def _rates(alphas: np.ndarray, clocks, times: np.ndarray) -> np.ndarray:
-    """alphas times each node's clock rate at times."""
-    rates = np.empty_like(alphas)
-    for i, clock in enumerate(clocks):
-        np.multiply(alphas[i], clock.rate_at(times), out=rates[i])
-    return rates
 
 
 class GlobalSkew(NamedTuple):
@@ -486,18 +483,19 @@ def rate_floor(trace: Trace) -> float:
 
     A node's rate changes only at its rebase times and drift breakpoints,
     and each of those in [start, horizon) is a sample, so the minimum over
-    those points is the minimum over every sample before the horizon.
+    those points, read from sample_history, is the minimum over every
+    sample before the horizon.
     """
     lowest = math.inf
     for hist, clock in zip(trace.history, trace.clocks):
         if hist.times.size == 0:
             continue
-        breaks = np.asarray(clock.schedule.breakpoints, dtype=float)
-        points = np.concatenate([hist.times, breaks[breaks >= hist.times[0]]])
+        breaks = clock.segments[0]
+        points = np.sort(np.concatenate([hist.times, breaks[breaks >= hist.times[0]]]))
         points = points[points < trace.horizon]
         if points.size:
-            factors = hist.factors[np.searchsorted(hist.times, points, side="right") - 1]
-            lowest = min(lowest, float((factors * clock.rate_at(points)).min()))
+            rates = sample_history((hist,), (clock,), points)[2]
+            lowest = min(lowest, float(rates.min()))
     return lowest if lowest < math.inf else float("nan")
 
 
@@ -632,8 +630,7 @@ def trace_csv_text(trace: Trace, out=None) -> str | None:
     total = trace.sample_times.size
     for s0 in range(0, total, _CSV_BLOCK):
         times = trace.sample_times[s0 : s0 + _CSV_BLOCK]
-        logical, alphas = sample_history(trace.history, trace.clocks, times)
-        rates = _rates(alphas, trace.clocks, times)
+        logical, alphas, rates = sample_history(trace.history, trace.clocks, times)
         if s0 + times.size == total:
             rates[:, -1] = np.nan
         lines = []

@@ -1,8 +1,11 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradsync.clocks import DriftSchedule, HardwareClock, make_drift_schedule
+from gradsync.metrics import NodeHistory, sample_history
 
 
 def riemann_hardware_time(schedule, t, step=1e-4):
@@ -11,7 +14,8 @@ def riemann_hardware_time(schedule, t, step=1e-4):
     cur = 0.0
     while cur < t:
         nxt = min(cur + step, t)
-        total += (1.0 + float(schedule.drift_at(cur))) * (nxt - cur)
+        drift = schedule.rates[bisect_right(schedule.breakpoints, cur) - 1]
+        total += (1.0 + drift) * (nxt - cur)
         cur = nxt
     return total
 
@@ -42,6 +46,15 @@ def test_beyond_horizon_rejected():
         clock.hardware_time(3.5)
     with pytest.raises(ValueError, match="horizon"):
         clock.hardware_time(-0.1)
+
+
+def test_nan_time_rejected():
+    clock = HardwareClock(make_drift_schedule("constant", 0.0, horizon=3.0))
+    outside = r"time outside covered horizon \[0, 3.0\]"
+    with pytest.raises(ValueError, match=outside):
+        clock.hardware_time(float("nan"))
+    with pytest.raises(ValueError, match=outside):
+        clock.hardware_time(np.array([0.0, np.nan]))
 
 
 def test_constant_zero_and_adversarial_modes():
@@ -122,8 +135,9 @@ def test_vectorized_evaluation_matches_scalar():
 def test_rate_at_is_one_plus_the_drift_in_effect():
     sched = make_drift_schedule("piecewise_random", 0.2, horizon=8.0, dwell=0.9, seed=3)
     clock = HardwareClock(sched)
+    # a node started at 0 that keeps factor 1: its logical rate is the clock's
+    history = (NodeHistory(np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1)),)
     ts = np.array([0.0, 0.45, 0.9, 1.8, 4.0, 7.2, 8.0])  # 0.9, 1.8 and 7.2 are breakpoints
-    assert clock.rate_at(ts).tolist() == (1.0 + sched.drift_at(ts)).tolist()
-    for t in ts.tolist():
-        assert clock.rate_at(t) == 1.0 + sched.drift_at(t)
-    assert clock.rate_at(0.9) == 1.0 + sched.rates[1]
+    rates = sample_history(history, (clock,), ts)[2][0]
+    segment = [0, 0, 1, 2, 4, 8, 8]
+    assert rates.tolist() == [1.0 + sched.rates[k] for k in segment]

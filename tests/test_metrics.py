@@ -411,10 +411,11 @@ class TestSerialization:
 def searched_sample_history(history, clocks, times):
     """sample_history as one search per sample: into the node's whole rebase
     history for the rebase point, and into its drift breakpoints through
-    hardware_time."""
+    hardware_time for the value and in the schedule's tuples for the rate."""
     ts = np.asarray(times, dtype=float)
     logical = np.full((len(history), ts.size), np.nan)
     alphas = np.full((len(history), ts.size), np.nan)
+    rates = np.full((len(history), ts.size), np.nan)
     for i, (hist, clock) in enumerate(zip(history, clocks)):
         if hist.times.size == 0:
             continue
@@ -428,7 +429,9 @@ def searched_sample_history(history, clocks, times):
             clock.hardware_time(now) - hist.hardware[base]
         )
         alphas[i, first:] = alpha
-    return logical, alphas
+        segment = np.searchsorted(clock.schedule.breakpoints, now, side="right") - 1
+        rates[i, first:] = alpha * (1.0 + np.array(clock.schedule.rates)[segment])
+    return logical, alphas, rates
 
 
 EVALUATOR_CONFIGS = {
@@ -483,13 +486,11 @@ class TestSampleHistory:
         points = np.concatenate([hist.times for hist in trace.history])
         assert np.unique(points).size < points.size  # equal-time rebase points occur
         for label, times in evaluator_time_sets(trace).items():
-            logical, alphas = metrics.sample_history(trace.history, trace.clocks, times)
-            expected_logical, expected_alphas = searched_sample_history(
-                trace.history, trace.clocks, times
-            )
-            np.testing.assert_array_equal(logical, expected_logical, err_msg=label, strict=True)
-            np.testing.assert_array_equal(alphas, expected_alphas, err_msg=label, strict=True)
-            assert np.array_equal(trace.evaluate_logical(times), logical, equal_nan=True)
+            got = metrics.sample_history(trace.history, trace.clocks, times)
+            expected = searched_sample_history(trace.history, trace.clocks, times)
+            for actual, wanted in zip(got, expected, strict=True):  # logical, alphas, rates
+                np.testing.assert_array_equal(actual, wanted, err_msg=label, strict=True)
+            assert np.array_equal(trace.evaluate_logical(times), got[0], equal_nan=True)
 
     def test_refuses_times_out_of_order_or_range(self):
         trace = run(preset("two_node"))
