@@ -643,6 +643,63 @@ def _hardware_times(clocks, times: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rebase_history(
+    n, initiators, times, dsts, h_dsts, payloads, started, process_on_start, values, factors
+):
+    """Per-node histories and per-event jumps from the loop's rebase points.
+
+    values and factors hold one entry per rebase point in processing order:
+    one start per initiator, then per event a start where it started the
+    receiver and a reception where it carried a payload the receiver
+    processed, start first. A stable sort by node yields every node's
+    history as one slice, its start first, so each later row is a
+    reception and its jump is its value less the previous row's clock,
+    l + f * (h - h0), at its hardware time. The lists are emptied.
+    """
+    processed = payloads == payloads  # not NaN: the sender had started
+    if not process_on_start:
+        processed &= ~started
+    counts = started.astype(np.uint8) + processed
+    node = np.concatenate((initiators, np.repeat(dsts, counts)))
+    order = np.argsort(node, kind="stable")
+    bounds = np.searchsorted(node[order], np.arange(n + 1))
+    del node
+    # the initiators' rows come first and have no event: they read -1
+    event = np.concatenate((np.full(len(initiators), -1), np.repeat(np.arange(times.size), counts)))
+    event = event[order]
+    value = np.array(values)[order]
+    values.clear()
+    factor = np.array(factors)[order]
+    factors.clear()
+    del order
+
+    # the initiators start at time 0, hardware time 0
+    time, hardware = np.zeros(event.size), np.zeros(event.size)
+    live = event >= 0
+    live_event = event[live]
+    time[live] = times[live_event]
+    hardware[live] = h_dsts[live_event]
+    del live, live_event
+
+    # jump[r] for row r >= 1 against row r - 1, kept where row r is a reception
+    jump = np.subtract(hardware[1:], hardware[:-1])
+    jump *= factor[:-1]
+    jump += value[:-1]
+    np.subtract(value[1:], jump, out=jump)
+    reception = np.ones(event.size, dtype=bool)
+    reception[bounds[:-1][bounds[:-1] < bounds[1:]]] = False
+    event = event[reception]
+    jump = jump[reception[1:]]
+    jumps = np.zeros(times.size)
+    jumps[event] = jump
+
+    history = tuple(
+        NodeHistory(time[lo:hi], value[lo:hi], factor[lo:hi], hardware[lo:hi])
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    )
+    return history, jumps
+
+
 def run(config: RunConfig) -> Trace:
     """Execute one run and record its complete trace.
 
@@ -656,8 +713,9 @@ def run(config: RunConfig) -> Trace:
     n = topology.node_count
 
     states = [fresh_state(i, topology.neighbors(i)) for i in range(n)]
-    # per node, one list per NodeHistory column: times, values, factors, hardware
-    history = [([], [], [], []) for _ in range(n)]
+    # the value and factor of every rebase point in processing order: the
+    # initiators' starts, then per event a start, a reception or both
+    values, factors = [], []
     # per (receiver, sender): the reduced-rate intervals, the last one
     # running to the horizon while it is open
     reduced: dict[tuple[int, int], list[tuple[float, float]]] = {}
@@ -665,20 +723,21 @@ def run(config: RunConfig) -> Trace:
     # Local aliases, taken per run so that rebinding the module names
     # (as the benchmark's tracer does) still takes effect.
     emit, receive, factor_of = emit_payload, on_receive, rate_factor
+    add_value, add_factor = values.append, factors.append
     process_on_start = config.process_on_start
 
-    for i in sorted(config.initiators):
+    initiators = sorted(config.initiators)
+    for i in initiators:
         state = on_start(states[i], 0.0)
-        for column, value in zip(history[i], (0.0, state.l_base, state.factor, state.h_base)):
-            column.append(value)
+        add_value(state.l_base)
+        add_factor(state.factor)
 
     times, srcs, dsts = setup.schedule.events()
     payloads = np.full(times.size, np.nan)
     started = np.zeros(times.size, dtype=bool)
-    jumps = np.zeros(times.size)
-    h_srcs = _hardware_times(clocks, times, srcs)
     h_dsts = _hardware_times(clocks, times, dsts)
-    for k, (t, src, dst, h_src, h_dst) in enumerate(_rows(times, srcs, dsts, h_srcs, h_dsts)):
+    rows = _rows(srcs, dsts, _hardware_times(clocks, times, srcs), h_dsts)
+    for k, (src, dst, h_src, h_dst) in enumerate(rows):
         payload = emit(states[src], h_src)
         if payload is None:
             continue
@@ -687,29 +746,27 @@ def run(config: RunConfig) -> Trace:
         if not state.started:
             started[k] = True
             on_start(state, h_dst)
-            for column, value in zip(history[dst], (t, state.l_base, state.factor, h_dst)):
-                column.append(value)
+            add_value(state.l_base)
+            add_factor(state.factor)
             if not process_on_start:
                 receive(state, params, src, payload, h_dst, apply_step2=False)
                 continue
-        node_times, values, factors, hardware = history[dst]
-        level_before = state.l_base + factor_of(state) * (h_dst - state.h_base)
         old_factor = state.rate_factors[src]
         receive(state, params, src, payload, h_dst)
-        jumps[k] = state.l_base - level_before
-        node_times.append(t)
-        values.append(state.l_base)
-        factors.append(state.factor)
-        hardware.append(h_dst)
+        add_value(state.l_base)
+        add_factor(factor_of(state))
         new_factor = state.rate_factors[src]
         if new_factor != old_factor:
+            t = times[k].item()
             intervals = reduced.setdefault((dst, src), [])
             if new_factor < 1.0:
                 intervals.append((t, horizon))
             else:
                 intervals[-1] = (intervals[-1][0], t)
 
-    history = tuple(NodeHistory(*map(np.array, columns)) for columns in history)
+    history, jumps = _rebase_history(
+        n, initiators, times, dsts, h_dsts, payloads, started, process_on_start, values, factors
+    )
 
     return Trace(
         config=config,

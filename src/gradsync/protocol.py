@@ -11,10 +11,10 @@ behind by more than the skew threshold.
 State is stored rebased: (h_base, l_base, factors) with the logical value
 recomputed lazily from hardware time, so evaluation between events is an
 exact linear extrapolation with no accumulation error. on_start and
-on_receive update the state they are given in place and return it; the
-state also counts the neighbors held at the reduced factor, so the rate
-factor is read in O(1) and a reception costs O(degree) for its view
-extremes only.
+on_receive update the state they are given in place and return it. The
+state also counts the neighbors held at the reduced factor and keeps the
+minimum and maximum of the neighbor views, so a reception costs O(1): it
+rescans the views only when the sender held an extreme and moved off it.
 """
 
 from __future__ import annotations
@@ -105,9 +105,11 @@ class NodeState:
     logical clock is undefined and the node emits no payload.
 
     reduced counts the neighbors whose factor is below 1 and factor is the
-    current rate factor, min(rate_factors.values()). Both are derived from
-    rate_factors on construction (dataclasses.replace included) and kept
-    up to date by on_start and on_receive.
+    current rate factor, min(rate_factors.values()); worst and best are
+    min(views.values()) and max(views.values()). All four are derived on
+    construction (dataclasses.replace included) and kept up to date by
+    on_start and on_receive, so views and rate_factors change through
+    those or a replace only.
     """
 
     node: int
@@ -119,10 +121,14 @@ class NodeState:
     rate_factors: dict[int, float]
     reduced: int = field(init=False)
     factor: float = field(init=False)
+    worst: float = field(init=False)
+    best: float = field(init=False)
 
     def __post_init__(self):
         self.reduced = sum(1 for f in self.rate_factors.values() if f < 1.0)
         self.factor = min(self.rate_factors.values())
+        self.worst = min(self.views.values())
+        self.best = max(self.views.values())
 
 
 def fresh_state(node: int, neighbors) -> NodeState:
@@ -178,6 +184,8 @@ def on_start(state: NodeState, h_now: float) -> NodeState:
     state.rate_factors = dict.fromkeys(state.neighbors, 1.0)
     state.reduced = 0
     state.factor = 1.0
+    state.worst = 0.0
+    state.best = 0.0
     return state
 
 
@@ -210,11 +218,26 @@ def on_receive(
     if not payload >= 0.0:  # NaN included
         raise ProtocolError(f"payload value must be >= 0, got {payload}")
 
+    previous = views[sender]
     views[sender] = payload
+    # Keep min and max of the views; only a sender that held an extreme
+    # and moved off it calls for a rescan.
+    if payload <= state.worst:
+        state.worst = payload
+    elif previous == state.worst:
+        state.worst = min(views.values())
+    if payload >= state.best:
+        state.best = payload
+    elif previous == state.best:
+        state.best = max(views.values())
     if not apply_step2:
         return state
 
-    current = logical_time(state, h_now)
+    # logical_time, read inline: it saves a call per reception
+    h_base = state.h_base
+    if h_now < h_base:
+        raise ProtocolError(f"hardware time ran backwards: {h_now} < base {h_base}")
+    current = state.l_base + state.factor * (h_now - h_base)
 
     threshold = params.skew_threshold
     if params.slowdown_enabled and current >= payload + threshold:
@@ -228,9 +251,13 @@ def on_receive(
         state.reduced += (factor < 1.0) - (old < 1.0)
         state.factor = params.reduced_factor if state.reduced else 1.0
 
-    heard = views.values()
-    worst, best = min(heard), max(heard)
-    state.l_base = max(current, min(worst + threshold, best))
+    # max(current, min(worst + threshold, best)), ties kept as min and max keep them
+    target = state.worst + threshold
+    if state.best < target:
+        target = state.best
+    if target > current:
+        current = target
+    state.l_base = current
     state.h_base = h_now
     return state
 

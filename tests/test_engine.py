@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from gradsync import engine
+from gradsync import engine, protocol
 from gradsync.engine import (
     WORKLOAD_CAP,
     ConfigError,
@@ -23,7 +23,7 @@ from gradsync.engine import (
     validate_config,
     wait_chain_length,
 )
-from gradsync.metrics import trace_csv_text
+from gradsync.metrics import NodeHistory, trace_csv_text
 from gradsync.presets import PRESETS, preset
 from gradsync.topology import chain, grid, random_geometric, ring
 
@@ -527,6 +527,157 @@ class TestRun:
         mask = ~np.isnan(q1)
         assert mask.any()
         assert np.allclose(q2[mask], (q1[mask] + q3[mask]) / 2.0, atol=1e-9)
+
+
+def looped_run(config):
+    """run's event loop with the rebase history kept per node: four lists
+    per node, the receiver's level before each reception, and each jump
+    written at its event. Returns the history, the six event columns and
+    the reduced-rate intervals."""
+    setup = resolve(config)
+    params, horizon = setup.params, setup.horizon
+    n = setup.topology.node_count
+    states = [protocol.fresh_state(i, setup.topology.neighbors(i)) for i in range(n)]
+    history = [([], [], [], []) for _ in range(n)]
+    reduced = {}
+    for i in sorted(config.initiators):
+        state = protocol.on_start(states[i], 0.0)
+        for column, value in zip(history[i], (0.0, state.l_base, state.factor, state.h_base)):
+            column.append(value)
+    times, srcs, dsts = setup.schedule.events()
+    payloads = np.full(times.size, np.nan)
+    started = np.zeros(times.size, dtype=bool)
+    jumps = np.zeros(times.size)
+    h_srcs = _hardware_times(setup.clocks, times, srcs)
+    h_dsts = _hardware_times(setup.clocks, times, dsts)
+    rows = zip(times.tolist(), srcs.tolist(), dsts.tolist(), h_srcs.tolist(), h_dsts.tolist())
+    for k, (t, src, dst, h_src, h_dst) in enumerate(rows):
+        payload = protocol.emit_payload(states[src], h_src)
+        if payload is None:
+            continue
+        payloads[k] = payload
+        state = states[dst]
+        if not state.started:
+            started[k] = True
+            protocol.on_start(state, h_dst)
+            for column, value in zip(history[dst], (t, state.l_base, state.factor, h_dst)):
+                column.append(value)
+            if not config.process_on_start:
+                protocol.on_receive(state, params, src, payload, h_dst, apply_step2=False)
+                continue
+        node_times, values, factors, hardware = history[dst]
+        level_before = state.l_base + protocol.rate_factor(state) * (h_dst - state.h_base)
+        old_factor = state.rate_factors[src]
+        protocol.on_receive(state, params, src, payload, h_dst)
+        jumps[k] = state.l_base - level_before
+        node_times.append(t)
+        values.append(state.l_base)
+        factors.append(state.factor)
+        hardware.append(h_dst)
+        new_factor = state.rate_factors[src]
+        if new_factor != old_factor:
+            intervals = reduced.setdefault((dst, src), [])
+            if new_factor < 1.0:
+                intervals.append((t, horizon))
+            else:
+                intervals[-1] = (intervals[-1][0], t)
+    return (
+        tuple(NodeHistory(*map(np.array, columns)) for columns in history),
+        (times, srcs, dsts, payloads, started, jumps),
+        {key: tuple(iv) for key, iv in sorted(reduced.items())},
+    )
+
+
+LOOP_CONFIGS = {
+    **{
+        f"wait_chain_{variant}_{'process' if process else 'start_only'}": (
+            build_wait_chain_scenario(12, 0.1, 1.0, 1.0, variant=variant, process_on_start=process)
+        )
+        for variant in ("gradient", "no_slowdown", "large_c")
+        for process in (True, False)
+    },
+    "grid_two_initiators": RunConfig(
+        topology=TopologySpec(kind="grid", rows=4, cols=5),
+        drift_bound=0.3,
+        max_gap=1.0,
+        skew_threshold=0.1,
+        initiators=(0, 5),
+        drift_mode="piecewise_random",
+        drift_dwell=2.0,
+        schedule_mode="random_uniform",
+    ),
+    # nodes 3 and 2 send before they start, and node 1 is woken while
+    # node 2 still sends nothing
+    "scripted_unstarted_senders": RunConfig(
+        topology=TopologySpec(kind="chain", n=4),
+        drift_bound=0.1,
+        max_gap=1.0,
+        skew_threshold=0.5,
+        horizon=4.0,
+        drift_mode="piecewise_random",
+        drift_dwell=0.7,
+        schedule_mode="scripted",
+        scripted_sends={
+            (0, 1): (0.5, 1.5, 2.5, 3.5),
+            (1, 0): (0.25, 1.0, 2.0, 3.0),
+            (1, 2): (0.75, 1.5, 2.5, 3.25),
+            (2, 1): (0.5, 1.25, 2.25, 3.25),
+            (2, 3): (0.9, 1.75, 2.75, 3.5),
+            (3, 2): (0.1, 1.0, 1.75, 2.75, 3.75),
+        },
+    ),
+    "ring_random_uniform": RunConfig(
+        topology=TopologySpec(kind="ring", n=7),
+        drift_bound=0.2,
+        max_gap=1.0,
+        skew_threshold=0.5,
+        drift_mode="piecewise_random",
+        drift_dwell=0.3,
+        schedule_mode="random_uniform",
+        gap_min=0.0,
+        seed=9,
+    ),
+}
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("name", sorted(LOOP_CONFIGS))
+    def test_run_matches_the_per_node_loop(self, name):
+        config = LOOP_CONFIGS[name]
+        trace = run(config)
+        history, events, reduced = looped_run(config)
+        assert len(trace.history) == len(history)
+        for got, wanted in zip(trace.history, history):
+            for field in ("times", "values", "factors", "hardware"):
+                np.testing.assert_array_equal(
+                    getattr(got, field), getattr(wanted, field), err_msg=field, strict=True
+                )
+        columns = trace.events
+        got_events = (columns.time, columns.src, columns.dst, columns.payload, columns.started, columns.jump)
+        for label, got, wanted in zip(("time", "src", "dst", "payload", "started", "jump"), got_events, events):
+            np.testing.assert_array_equal(got, wanted, err_msg=label, strict=True)
+        assert trace.reduced_intervals == reduced
+
+    def test_configs_cover_the_row_kinds(self):
+        # each kind of rebase row the loop records occurs somewhere above
+        kinds = set()
+        for name, config in LOOP_CONFIGS.items():
+            trace = run(config)
+            events = trace.events
+            carried = ~np.isnan(events.payload)
+            if (carried & events.started).any():
+                kinds.add("start+reception" if config.process_on_start else "start only")
+            if (~carried).any():
+                kinds.add("unstarted sender")
+            if len(config.initiators) > 1:
+                kinds.add("initiators")
+            if (events.jump > 0).any():
+                kinds.add("jump")
+            if trace.reduced_intervals:
+                kinds.add("reduced")
+        assert kinds == {
+            "start+reception", "start only", "unstarted sender", "initiators", "jump", "reduced"
+        }
 
 
 class TestConfigRoundTrip:

@@ -323,6 +323,22 @@ def test_run_holds_little_per_event(variant):
     assert rest < 128 * len(trace.events)
 
 
+@pytest.mark.parametrize("variant", ["gradient", "no_slowdown"])
+def test_run_peaks_little_per_event(variant):
+    # At D = 64 the run peaked at 121 B per event with two flat rebase
+    # columns sorted once at the end, and at 177 B with four Python lists
+    # per node.
+    config = build_wait_chain_scenario(64, 0.1, 1.0, 1.0, variant=variant)
+    run(config)  # leave one-time allocations out of the count
+    tracemalloc.start()
+    try:
+        trace = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 135 * len(trace.events)
+
+
 def test_dense_sampling_agrees_with_breakpoint_sampling():
     # a dense grid can only reveal skew already visible at sample points,
     # up to the worst-case slope times the grid step

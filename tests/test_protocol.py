@@ -341,3 +341,39 @@ def test_reduced_count_tracks_factors(seq, diameter_bound):
         on_receive(state, params, sender, value, h_now, apply_step2=apply_step2)
         assert state.reduced == sum(f < 1.0 for f in state.rate_factors.values())
         assert rate_factor(state) == min(state.rate_factors.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([(1,), (1, 2), (1, 2, 3), (2, 5, 7, 9, 11)]))
+def test_kept_view_extremes_match_min_and_max(data, neighbors):
+    # worst and best must equal min and max of the views after every
+    # start, reception (step 2 or view only) and replace, whatever the
+    # payload does: repeat the sender's view, fall, tie another view or jump
+    params = ProtocolParams(1.0, 4)
+    state = fresh_state(0, neighbors)
+    h_now = 0.0
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        op = data.draw(st.sampled_from(["start", "receive", "receive", "receive", "replace"]))
+        if op == "start" or not state.started:
+            if state.started:
+                state = replace(state, started=False)
+            on_start(state, h_now)
+        elif op == "receive":
+            sender = data.draw(st.sampled_from(neighbors), label="sender")
+            views = state.views
+            payload = data.draw(
+                st.one_of(
+                    st.just(views[sender]),
+                    st.sampled_from(sorted(views.values())),
+                    st.floats(0.0, views[sender]),
+                    st.floats(0.0, 40.0),
+                ),
+                label="payload",
+            )
+            h_now += data.draw(st.sampled_from([0.0, 0.5, 2.0]), label="dwell")
+            on_receive(state, params, sender, payload, h_now, apply_step2=data.draw(st.booleans()))
+        else:
+            views = {j: data.draw(st.floats(0.0, 40.0), label="view") for j in neighbors}
+            state = replace(state, views=views)
+        assert state.worst == min(state.views.values())
+        assert state.best == max(state.views.values())
