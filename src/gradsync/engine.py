@@ -109,7 +109,8 @@ class TopologySpec:
 
     def build(self, default_seed: int = 0) -> "topo_mod.Topology":
         """The graph; a field the kind needs but lacks, one set that the kind
-        does not read, and over WORKLOAD_CAP node pairs are refused."""
+        does not read, and over WORKLOAD_CAP node pairs are refused, as are
+        random_geometric retries that would compare over 50 times as many."""
         if self.kind not in _KINDS:
             raise topo_mod.TopologyError(f"unknown topology kind {self.kind!r}")
         builder, needs, optional = _KINDS[self.kind]
@@ -126,9 +127,18 @@ class TopologySpec:
         nodes = self.rows * self.cols if self.kind == "grid" else self.n
         if self.kind == "edge_list":
             nodes = 1 + max((max(edge) for edge in self.edges), default=0)
-        if nodes * (nodes - 1) // 2 > WORKLOAD_CAP:
+        pairs = nodes * (nodes - 1) // 2
+        if pairs > WORKLOAD_CAP:
             raise topo_mod.TopologyError(
                 f"{self.kind} topology of {nodes:,} nodes has over {WORKLOAD_CAP:,} node pairs"
+            )
+        # each random_geometric draw compares every pair: retries past the
+        # default shrink the pair cap in proportion
+        limit = optional.get("retries", 0) * WORKLOAD_CAP
+        if self.kind == "random_geometric" and self.retries * pairs > limit:
+            raise topo_mod.TopologyError(
+                f"random_geometric topology of {nodes:,} nodes with {self.retries:,} retries "
+                f"may compare over {limit:,} node pairs"
             )
         args = {name: getattr(self, name) for name in (*needs, *optional)}
         if "seed" in args and args["seed"] is None:
@@ -397,10 +407,15 @@ def build_wait_chain_scenario(
     after its predecessor, so the chain builds the maximal gradient of
     skew_threshold per hop and the head must slow down for about one full
     chain length before relaxation returns. The default horizon
-    (2*diameter + 4) * max_gap covers build-up and relaxation.
+    (2*diameter + 4) * max_gap covers build-up and relaxation. A chain over
+    WORKLOAD_CAP node pairs is refused before anything of its size is built.
     """
     if diameter < 1:
         raise ConfigError([f"diameter must be >= 1, got {diameter}"])
+    if (diameter + 1) * diameter // 2 > WORKLOAD_CAP:
+        raise ConfigError(
+            [f"wait chain of diameter {diameter:,} has over {WORKLOAD_CAP:,} node pairs"]
+        )
     if horizon is None:
         horizon = (2 * diameter + 4) * max_gap
     return RunConfig(
@@ -426,7 +441,7 @@ def is_wait_chain(config: RunConfig) -> bool:
     parameters, whatever its label and horizon: the scenario for which the
     neighbor-skew bound is proven."""
     n = len(config.drift_signs or ())
-    if n < 2:
+    if n < 2 or n * (n - 1) // 2 > WORKLOAD_CAP:  # no scenario has that chain
         return False
     scenario = build_wait_chain_scenario(
         n - 1, config.drift_bound, config.max_gap, config.skew_threshold, config.variant,
@@ -716,9 +731,6 @@ def run(config: RunConfig) -> Trace:
     # the value and factor of every rebase point in processing order: the
     # initiators' starts, then per event a start, a reception or both
     values, factors = [], []
-    # per (receiver, sender): the reduced-rate intervals, the last one
-    # running to the horizon while it is open
-    reduced: dict[tuple[int, int], list[tuple[float, float]]] = {}
 
     # Local aliases, taken per run so that rebinding the module names
     # (as the benchmark's tracer does) still takes effect.
@@ -735,6 +747,7 @@ def run(config: RunConfig) -> Trace:
     times, srcs, dsts = setup.schedule.events()
     payloads = np.full(times.size, np.nan)
     started = np.zeros(times.size, dtype=bool)
+    toggles = np.zeros(times.size, dtype=np.int8)
     h_dsts = _hardware_times(clocks, times, dsts)
     rows = _rows(srcs, dsts, _hardware_times(clocks, times, srcs), h_dsts)
     for k, (src, dst, h_src, h_dst) in enumerate(rows):
@@ -751,18 +764,12 @@ def run(config: RunConfig) -> Trace:
             if not process_on_start:
                 receive(state, params, src, payload, h_dst, apply_step2=False)
                 continue
-        old_factor = state.rate_factors[src]
+        reduced = state.reduced
         receive(state, params, src, payload, h_dst)
         add_value(state.l_base)
         add_factor(factor_of(state))
-        new_factor = state.rate_factors[src]
-        if new_factor != old_factor:
-            t = times[k].item()
-            intervals = reduced.setdefault((dst, src), [])
-            if new_factor < 1.0:
-                intervals.append((t, horizon))
-            else:
-                intervals[-1] = (intervals[-1][0], t)
+        if state.reduced != reduced:  # only the sender's factor can have moved
+            toggles[k] = state.reduced - reduced
 
     history, jumps = _rebase_history(
         n, initiators, times, dsts, h_dsts, payloads, started, process_on_start, values, factors
@@ -775,8 +782,7 @@ def run(config: RunConfig) -> Trace:
         effective_skew_threshold=params.skew_threshold,
         horizon=horizon,
         sample_times=sample_grid(times, clocks, horizon),
-        events=EventLog(times, srcs, dsts, payloads, started, jumps),
-        reduced_intervals={k: tuple(iv) for k, iv in sorted(reduced.items())},
+        events=EventLog(times, srcs, dsts, payloads, started, jumps, toggles),
         clocks=clocks,
         history=history,
     )

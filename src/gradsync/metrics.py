@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -92,7 +91,9 @@ def _rows(*columns):
 class EventLog:
     """Every message of a run as columns, in processing order: time, src,
     dst, the payload (NaN where the sender had not started), whether it
-    started the receiver, and the receiver's jump.
+    started the receiver, the receiver's jump, and its slowdown toggle:
+    int8, +1 where the reception lowered the sender's rate factor, -1 where
+    it restored it, 0 otherwise.
 
     Iterating yields TraceEvent records, built a block at a time.
     """
@@ -103,6 +104,7 @@ class EventLog:
     payload: np.ndarray
     started: np.ndarray
     jump: np.ndarray
+    toggle: np.ndarray
 
     def __len__(self) -> int:
         return self.time.size
@@ -132,7 +134,8 @@ class Trace:
 
     sample_times is strictly increasing. history and clocks are the only
     form of the clock values: logical and rates derive one row per node and
-    one column per sample from them, NaN before the node started.
+    one column per sample from them, NaN before the node started. Likewise
+    the events' toggle column is the only form of the slowdown decisions.
     """
 
     config: "RunConfig"
@@ -142,7 +145,6 @@ class Trace:
     horizon: float
     sample_times: np.ndarray
     events: EventLog
-    reduced_intervals: dict
     clocks: tuple["HardwareClock", ...]
     history: tuple[NodeHistory, ...]
 
@@ -154,6 +156,22 @@ class Trace:
     def start_times(self) -> np.ndarray:
         """Each node's first rebase time, inf where it never started."""
         return np.array([h.times[0] if h.times.size else np.inf for h in self.history])
+
+    @property
+    def reduced_intervals(self) -> dict:
+        """Per (receiver, sender), sorted, the (begin, end) times over which
+        the receiver held that sender at the reduced factor, one still open
+        ending at the horizon; rebuilt from the events' toggle column."""
+        ev = self.events
+        at = np.flatnonzero(ev.toggle)
+        intervals: dict[tuple[int, int], list[tuple[float, float]]] = {}
+        for t, dst, src, toggle in _rows(ev.time[at], ev.dst[at], ev.src[at], ev.toggle[at]):
+            own = intervals.setdefault((dst, src), [])
+            if toggle > 0:
+                own.append((t, self.horizon))
+            else:
+                own[-1] = (own[-1][0], t)
+        return {key: tuple(own) for key, own in sorted(intervals.items())}
 
     def evaluate_logical(self, times) -> np.ndarray:
         """Exact logical values at non-decreasing real times in [0, horizon]."""
@@ -499,9 +517,8 @@ def rate_floor(trace: Trace) -> float:
     return lowest if lowest < math.inf else float("nan")
 
 
-def _episodes(trace: Trace):
-    """(node, begins, ends) of each node that ever slowed down, in node
-    order: its reduced-rate episodes as ReducedRateStats defines them."""
+def reduced_rate_stats(trace: Trace) -> ReducedRateStats:
+    per_node, durations = {}, []
     for node, hist in enumerate(trace.history):
         # +1 where a run of reduced factors begins, -1 just past its end
         steps = np.diff((hist.factors < 1.0).astype(np.int8), prepend=0, append=0)
@@ -511,13 +528,7 @@ def _episodes(trace: Trace):
         hi = np.append(hist.times, trace.horizon)[steps == -1]
         # a run that begins where the previous one ended continues it
         apart = lo[1:] > hi[:-1]
-        yield node, lo[np.r_[True, apart]], hi[np.r_[apart, True]]
-
-
-def reduced_rate_stats(trace: Trace) -> ReducedRateStats:
-    per_node = {}
-    durations = []
-    for node, lo, hi in _episodes(trace):
+        lo, hi = lo[np.r_[True, apart]], hi[np.r_[apart, True]]
         per_node[node] = tuple(zip(lo.tolist(), hi.tolist()))
         durations.extend((hi - lo).tolist())
     return ReducedRateStats(
@@ -583,9 +594,7 @@ def compute_report(trace: Trace, warmup: float = 0.0) -> SkewReport:
         per_edge_max_skew=per_edge,
         gradient_profile=profile,
         min_rate=rate_floor(trace),
-        reduced_rate_durations=tuple(
-            chain.from_iterable((hi - lo).tolist() for _, lo, hi in _episodes(trace))
-        ),
+        reduced_rate_durations=reduced_rate_stats(trace).durations,
         bound_verdicts=(),
         diameter=trace.topology.diameter,
         effective_skew_threshold=trace.effective_skew_threshold,

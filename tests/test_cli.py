@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -582,6 +583,25 @@ class TestSweep:
             skews[(int(fields[1]), fields[2])] = float(fields[4])
         assert skews[(16, "no_slowdown")] > 2.0 * skews[(4, "no_slowdown")]
         assert skews[(16, "gradient")] < 1.25 * skews[(4, "gradient")]
+
+    @pytest.mark.parametrize("diameter", [10**19, 5_000_000])
+    def test_diameter_over_the_pair_cap_refused_before_its_chain_is_built(
+        self, tmp_path, capsys, diameter
+    ):
+        path = self.sweep_spec(tmp_path, values=[diameter], variants=["gradient"])
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--sweep", str(path), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        assert f"wait chain of diameter {diameter:,} has over 10,000,000 node pairs" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_invalid_point_aborts_before_running(self, tmp_path):
         path = self.sweep_spec(tmp_path, values=[4, -2])

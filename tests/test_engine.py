@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 from collections import defaultdict
 from dataclasses import fields, replace
@@ -387,6 +388,19 @@ class TestValidate:
         assert problems[0].endswith(f"nodes has over {WORKLOAD_CAP:,} node pairs")
         assert peak < 1 << 20
 
+    # never connected: each draw compares every pair, milliseconds at 200
+    # nodes; 1000 nodes have 499,500 pairs, so 1002 draws are one too many
+    @pytest.mark.parametrize("n,retries", [(200, 10**9), (1000, 1002)])
+    def test_random_geometric_draws_over_the_cap_refused(self, n, retries):
+        spec = TopologySpec(kind="random_geometric", n=n, radius=1e-9, retries=retries)
+        start = time.perf_counter()
+        problems = validate_config(self.base(topology=spec, horizon=2.0))
+        assert time.perf_counter() - start < 1.0
+        assert problems == [
+            f"random_geometric topology of {n:,} nodes with {retries:,} retries "
+            f"may compare over {50 * WORKLOAD_CAP:,} node pairs"
+        ]
+
     def test_negative_seeds_and_retries_refused(self):
         rgg = TopologySpec(kind="random_geometric", n=20, radius=0.4)
         assert validate_config(self.base(seed=-1)) == ["seed must be non-negative, got -1"]
@@ -419,6 +433,13 @@ class TestWaitChainScenario:
         assert cfg.horizon == (2 * 4 + 4) * 1.0
         assert cfg.label == "wait_chain"
         assert validate_config(cfg) == []
+
+    def test_chain_over_the_pair_cap_refused_before_it_is_built(self):
+        # 4472 nodes have 9,997,156 pairs, 4473 have 10,001,628
+        assert build_wait_chain_scenario(4471, 0.1, 1.0, 1.0).topology.n == 4472
+        with pytest.raises(ConfigError, match=f"diameter 4,472 has over {WORKLOAD_CAP:,} node"):
+            build_wait_chain_scenario(4472, 0.1, 1.0, 1.0)
+        assert not engine.is_wait_chain(replace(preset("wait_chain"), drift_signs=(1,) * 4473))
 
     def test_wait_chain_length_formula(self):
         assert wait_chain_length(10, 0.1, 1.0, 1.0) == 10.0
@@ -532,8 +553,9 @@ class TestRun:
 def looped_run(config):
     """run's event loop with the rebase history kept per node: four lists
     per node, the receiver's level before each reception, and each jump
-    written at its event. Returns the history, the six event columns and
-    the reduced-rate intervals."""
+    and slowdown toggle written at its event, the toggle read from the
+    sender's factor. Returns the history, the seven event columns and the
+    reduced-rate intervals."""
     setup = resolve(config)
     params, horizon = setup.params, setup.horizon
     n = setup.topology.node_count
@@ -548,6 +570,7 @@ def looped_run(config):
     payloads = np.full(times.size, np.nan)
     started = np.zeros(times.size, dtype=bool)
     jumps = np.zeros(times.size)
+    toggles = np.zeros(times.size, dtype=np.int8)
     h_srcs = _hardware_times(setup.clocks, times, srcs)
     h_dsts = _hardware_times(setup.clocks, times, dsts)
     rows = zip(times.tolist(), srcs.tolist(), dsts.tolist(), h_srcs.tolist(), h_dsts.tolist())
@@ -576,6 +599,7 @@ def looped_run(config):
         hardware.append(h_dst)
         new_factor = state.rate_factors[src]
         if new_factor != old_factor:
+            toggles[k] = 1 if new_factor < 1.0 else -1
             intervals = reduced.setdefault((dst, src), [])
             if new_factor < 1.0:
                 intervals.append((t, horizon))
@@ -583,7 +607,7 @@ def looped_run(config):
                 intervals[-1] = (intervals[-1][0], t)
     return (
         tuple(NodeHistory(*map(np.array, columns)) for columns in history),
-        (times, srcs, dsts, payloads, started, jumps),
+        (times, srcs, dsts, payloads, started, jumps, toggles),
         {key: tuple(iv) for key, iv in sorted(reduced.items())},
     )
 
@@ -652,11 +676,28 @@ class TestLoopReference:
                 np.testing.assert_array_equal(
                     getattr(got, field), getattr(wanted, field), err_msg=field, strict=True
                 )
-        columns = trace.events
-        got_events = (columns.time, columns.src, columns.dst, columns.payload, columns.started, columns.jump)
-        for label, got, wanted in zip(("time", "src", "dst", "payload", "started", "jump"), got_events, events):
+        labels = ("time", "src", "dst", "payload", "started", "jump", "toggle")
+        for label, wanted in zip(labels, events, strict=True):
+            got = getattr(trace.events, label)
             np.testing.assert_array_equal(got, wanted, err_msg=label, strict=True)
         assert trace.reduced_intervals == reduced
+
+    @pytest.mark.parametrize("name", sorted(LOOP_CONFIGS))
+    def test_toggles_alternate_on_processed_receptions(self, name):
+        config = LOOP_CONFIGS[name]
+        events = run(config).events
+        toggle = events.toggle
+        if config.variant != "gradient":
+            assert not toggle.any()
+        processed = events.payload == events.payload
+        if not config.process_on_start:
+            processed &= ~events.started
+        assert not toggle[~processed].any()
+        # per (receiver, sender): lowered, restored, lowered, ...
+        at = np.flatnonzero(toggle)
+        for dst, src in set(zip(events.dst[at].tolist(), events.src[at].tolist())):
+            own = toggle[at[(events.dst[at] == dst) & (events.src[at] == src)]].tolist()
+            assert own == [(-1) ** k for k in range(len(own))], (dst, src)
 
     def test_configs_cover_the_row_kinds(self):
         # each kind of rebase row the loop records occurs somewhere above
