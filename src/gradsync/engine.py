@@ -25,6 +25,7 @@ from itertools import chain
 import numpy as np
 
 from . import topology as topo_mod
+from .topology import WORKLOAD_CAP
 from .clocks import DRIFT_MODES, HardwareClock, make_drift_schedule
 from .metrics import EventLog, NodeHistory, Trace, _rows
 from .protocol import (
@@ -60,12 +61,6 @@ __all__ = [
 ]
 
 SCHEDULE_MODES = ("periodic", "random_uniform", "scripted")
-
-# Most sends plus drift segments a config may be estimated to take, most
-# node pairs its topology may have (its distance matrix is n x n), and most
-# Euler steps an oracle run may take: a few GB and minutes of CPU. The
-# presets and benchmarks stay below 7e4 and 1e4.
-WORKLOAD_CAP = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -503,6 +498,10 @@ def _validate(config: RunConfig):
         )
     if config.seed < 0:
         v.append(f"seed must be non-negative, got {config.seed}")
+    # every integer up to 2**53 is exact as a float, so 1/diameter_bound is
+    # the reciprocal of the stated bound
+    if config.diameter_bound is not None and config.diameter_bound > 2**53:
+        v.append(f"diameter_bound must be at most 2**53, got {config.diameter_bound}")
     if config.horizon is not None and config.horizon <= 0:
         v.append(f"horizon must be positive, got {config.horizon}")
     if config.gap_min is not None and not 0.0 <= config.gap_min < config.max_gap:

@@ -21,7 +21,14 @@ __all__ = [
     "grid",
     "random_geometric",
     "from_edges",
+    "WORKLOAD_CAP",
 ]
+
+# Most sends plus drift segments a config may be estimated to take, most
+# node pairs its topology may have (its distance matrix is n x n), and most
+# Euler steps an oracle run may take: a few GB and minutes of CPU. The
+# presets and benchmarks stay below 7e4 and 1e4.
+WORKLOAD_CAP = 10_000_000
 
 
 class TopologyError(ValueError):
@@ -76,13 +83,20 @@ def _check_adjacency(adjacency) -> tuple[tuple[int, ...], ...]:
     return adj
 
 
+class _Disconnected(TopologyError):
+    """The graph is not connected: the one failure random_geometric redraws on."""
+
+
 def all_pairs_distances(adjacency) -> np.ndarray:
     """Shortest hop counts between all node pairs, by BFS from each source.
 
     Raises TopologyError naming a disconnected pair if the graph is not
     connected.
     """
-    adj = _check_adjacency(adjacency)
+    return _bfs(_check_adjacency(adjacency))
+
+
+def _bfs(adj) -> np.ndarray:
     n = len(adj)
     rows = []
     for src in range(n):
@@ -97,56 +111,59 @@ def all_pairs_distances(adjacency) -> np.ndarray:
                     row[v] = hops
                     queue.append(v)
         if -1 in row:
-            raise TopologyError(f"nodes {src} and {row.index(-1)} are disconnected")
+            raise _Disconnected(f"nodes {src} and {row.index(-1)} are disconnected")
         rows.append(row)
     return np.array(rows, dtype=np.int64)
 
 
-def _from_adjacency(adjacency) -> Topology:
-    adj = _check_adjacency(adjacency)
-    dist = all_pairs_distances(adj)
-    return Topology(
-        node_count=len(adj),
-        adjacency=adj,
-        distances=dist,
-        diameter=int(dist.max()),
-    )
+def _topology(n: int, edges) -> Topology:
+    """The graph on nodes 0..n-1 whose edges are the undirected (u, v) pairs
+    in edges; a repeated or reversed pair is the same edge. Its BFS takes a
+    step per node and directed edge: over 50 x WORKLOAD_CAP are refused."""
+    pairs = set()
+    for u, v in edges:
+        if u == v:
+            raise TopologyError(f"edge ({u}, {v}) is a self-loop at node {u}")
+        for w in (u, v):
+            if not 0 <= w < n:
+                raise TopologyError(f"edge ({u}, {v}) names node {w}, outside 0..{n - 1}")
+        pairs.add((min(u, v), max(u, v)))
+    steps = n * 2 * len(pairs)
+    if steps > 50 * WORKLOAD_CAP:
+        raise TopologyError(
+            f"graph of {n:,} nodes and {len(pairs):,} edges takes {steps:,} BFS steps "
+            f"(nodes x directed edges), over {50 * WORKLOAD_CAP:,}"
+        )
+    adj = [[] for _ in range(n)]
+    for u, v in sorted(pairs):  # so each list fills in ascending order
+        adj[u].append(v)
+        adj[v].append(u)
+    adj = tuple(map(tuple, adj))
+    dist = _bfs(adj)
+    return Topology(node_count=n, adjacency=adj, distances=dist, diameter=int(dist.max()))
 
 
 def chain(n: int) -> Topology:
     """Path graph 0-1-...-(n-1)."""
     if n < 2:
         raise TopologyError(f"chain needs n >= 2, got {n}")
-    adj = [[] for _ in range(n)]
-    for i in range(n - 1):
-        adj[i].append(i + 1)
-        adj[i + 1].append(i)
-    return _from_adjacency(adj)
+    return _topology(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def ring(n: int) -> Topology:
     """Cycle graph on n >= 3 nodes."""
     if n < 3:
         raise TopologyError(f"ring needs n >= 3, got {n}")
-    adj = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
-    return _from_adjacency(adj)
+    return _topology(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def grid(rows: int, cols: int) -> Topology:
     """Rectangular lattice; node id is row * cols + col."""
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise TopologyError(f"grid needs at least 2 nodes, got {rows}x{cols}")
-    adj = [[] for _ in range(rows * cols)]
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                adj[u].append(u + 1)
-                adj[u + 1].append(u)
-            if r + 1 < rows:
-                adj[u].append(u + cols)
-                adj[u + cols].append(u)
-    return _from_adjacency(adj)
+    n = rows * cols
+    right = [(u, u + 1) for u in range(n) if (u + 1) % cols]
+    return _topology(n, right + [(u, u + cols) for u in range(n - cols)])
 
 
 def random_geometric(
@@ -172,14 +189,10 @@ def random_geometric(
     rng = np.random.default_rng([seed, 0x6E0])
     for _ in range(retries):
         pts = rng.random((n, 2))
-        delta = pts[:, None, :] - pts[None, :, :]
-        close = (delta ** 2).sum(axis=2) <= radius * radius
-        adj = [
-            [int(j) for j in np.nonzero(close[i])[0] if j != i] for i in range(n)
-        ]
+        close = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2) <= radius * radius
         try:
-            return _from_adjacency(adj)
-        except TopologyError:
+            return _topology(n, np.argwhere(np.triu(close, 1)).tolist())
+        except _Disconnected:
             continue
     raise TopologyError(
         f"random_geometric(n={n}, radius={radius}, seed={seed}) "
@@ -192,13 +205,4 @@ def from_edges(edges) -> Topology:
     pairs = [(int(u), int(v)) for u, v in edges]
     if not pairs:
         raise TopologyError("edge list is empty")
-    n = max(max(u, v) for u, v in pairs) + 1
-    adj = [[] for _ in range(n)]
-    for u, v in pairs:
-        if u == v:
-            raise TopologyError(f"self-loop at node {u}")
-        if v not in adj[u]:
-            adj[u].append(v)
-            adj[v].append(u)
-    return _from_adjacency(adj)
-
+    return _topology(max(max(pair) for pair in pairs) + 1, pairs)

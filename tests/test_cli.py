@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -325,6 +326,48 @@ class TestInputBoundary:
         assert main(["run", "--config", config, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edges,named",
+        [
+            ([[0, 1], [1, 2], [-3, 1]], "edge (-3, 1) names node -3, outside 0..2"),
+            ([[0, 1], [1, 2], [2, -3]], "edge (2, -3) names node -3, outside 0..2"),
+        ],
+    )
+    def test_negative_edge_id_refused(self, tmp_path, capsys, edges, named):
+        # read as an index, -3 would pick node 0 and run the chain 0-1-2
+        doc = config_to_dict(preset("startup_chain"))
+        doc["topology"] = {"kind": "edge_list", "edges": edges}
+        config = write_doc(tmp_path, doc)
+        assert main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().out == f"violation: {named}\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diameter_bound_past_exact_floats_refused(self, tmp_path, capsys):
+        # 1 / 10**400 overflows a float: refused by validate, not a traceback in run
+        doc = config_to_dict(preset("startup_chain"))
+        doc["diameter_bound"] = 10**400
+        config = write_doc(tmp_path, doc)
+        named = f"diameter_bound must be at most 2**53, got {10**400}"
+        assert main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().out == f"violation: {named}\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dense_graph_over_the_bfs_bound_refused_at_once(self, tmp_path, capsys):
+        # about 240,000 edges on 1500 nodes: its BFS would take tens of seconds
+        config = write_doc(tmp_path, field_doc("topology.n", 1500))
+        start = time.perf_counter()
+        assert main(["validate", "--config", config]) == 2
+        assert time.perf_counter() - start < 2.0
+        out = capsys.readouterr().out
+        assert out.startswith("violation: graph of 1,500 nodes and ")
+        assert out.endswith(" BFS steps (nodes x directed edges), over 500,000,000\n")
 
     @pytest.mark.parametrize(
         "sends,named",

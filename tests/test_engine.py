@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gradsync import engine, protocol
+from gradsync import topology as topo_mod
 from gradsync.engine import (
     WORKLOAD_CAP,
     ConfigError,
@@ -418,10 +419,43 @@ class TestValidate:
         rgg = preset("random_geometric")
         rgg_200 = replace(rgg, topology=replace(rgg.topology, n=200, radius=0.14, seed=1))
         monkeypatch.setattr(engine, "WORKLOAD_CAP", WORKLOAD_CAP // 50)
+        monkeypatch.setattr(topo_mod, "WORKLOAD_CAP", WORKLOAD_CAP // 50)
         configs = [preset(name) for name in PRESETS]
         configs += [build_wait_chain_scenario(128, 0.1, 1.0, 1.0), rgg_200]
         for config in configs:
             assert validate_config(config) == [], config.label
+
+
+_CHAIN_5 = RunConfig(
+    topology=TopologySpec(kind="chain", n=5), drift_bound=0.1, max_gap=1.0, skew_threshold=1.0
+)
+_RGG = preset("random_geometric")
+
+
+@pytest.mark.parametrize(
+    "config,runs",
+    [
+        (replace(_CHAIN_5, diameter_bound=2**53), True),
+        (replace(_CHAIN_5, seed=10**400), True),
+        (replace(_RGG, topology=replace(_RGG.topology, seed=10**40)), True),
+        (replace(_CHAIN_5, diameter_bound=2**53 + 1), False),
+        (replace(_CHAIN_5, topology=TopologySpec(kind="edge_list", edges=((0, 1), (-3, 1)))),
+         False),
+        # 1500 nodes within radius 0.3 have about 240,000 edges: 7.2e8 BFS steps
+        (replace(_RGG, topology=replace(_RGG.topology, n=1500)), False),
+    ],
+    ids=["bound_2**53", "seed_10**400", "topology_seed_10**40", "bound_2**53+1",
+         "negative_edge_id", "dense_rgg"],
+)
+def test_validate_and_run_agree_at_the_input_edges(config, runs):
+    problems = validate_config(config)
+    assert (problems == []) is runs, problems
+    if runs:
+        assert run(config).events
+    else:
+        with pytest.raises(ConfigError) as refused:
+            run(config)
+        assert refused.value.violations == problems
 
 
 class TestWaitChainScenario:
