@@ -234,8 +234,8 @@ class CommSchedule:
         """Every send as columns (times, src, dst) in processing order.
 
         The order is by time, then descending source, ascending destination
-        and per-edge sequence. The keys are unique, so one lexsort fixes the
-        order completely.
+        and per-edge sequence. The sends are laid out edge by edge in send
+        order and lexsort is stable, so the sequence needs no key of its own.
         """
         edges = sorted(self.sends.items())
         counts = np.array([len(times) for _, times in edges], dtype=np.int64)
@@ -244,8 +244,7 @@ class CommSchedule:
         )
         src = np.repeat(np.array([s for (s, _), _ in edges], dtype=np.int64), counts)
         dst = np.repeat(np.array([d for (_, d), _ in edges], dtype=np.int64), counts)
-        seq = np.arange(times.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        order = np.lexsort((seq, dst, -src, times))
+        order = np.lexsort((dst, -src, times))
         return times[order], src[order], dst[order]
 
 
@@ -262,44 +261,26 @@ def _capped_step(t: float, gap: float, cap: float) -> float:
 
 def _uniform_sends(edges, seed: int, max_gap: float, low: float, horizon: float) -> dict:
     """Send times per edge with gaps max_gap - u, u uniform on
-    [0, max_gap - low), each step taken as _capped_step takes it.
+    [0, max_gap - low), each step taken by _capped_step.
 
     Each edge has its own generator and draws its gaps a chunk at a time: a
     vector draw yields the same values as that many scalar draws. A chunk
     covers the horizon at the mean gap, with a margin, up to _GAP_CHUNK
-    draws; draws past the horizon are discarded. The first chunks of a group
-    of edges are stepped together by np.cumsum along each row, whose
-    sequential adds give the floats that t + gap gives step by step. From a
-    row's first step whose float difference exceeds max_gap, or past its
-    first chunk, _capped_step takes over.
+    draws; draws past the horizon are discarded.
     """
     chunk = min(int(2.0 * horizon / (max_gap + low)) + 16, _GAP_CHUNK)
-    rows = max(1, _GAP_CHUNK * 64 // chunk)  # at most 2 MB of steps per group
     sends = {}
-    for g0 in range(0, len(edges), rows):
-        group = edges[g0 : g0 + rows]
-        rngs = [np.random.default_rng((seed, 0x5C4ED, src, dst)) for src, dst in group]
-        gaps = max_gap - np.array([rng.uniform(0.0, max_gap - low, size=chunk) for rng in rngs])
-        steps = np.cumsum(gaps, axis=1)
-        over = np.diff(steps, axis=1, prepend=0.0) > max_gap
-        # per row: j leading steps need no capping, k lie within the horizon
-        # (each row is non-decreasing, so those lead it too)
-        uncapped = np.where(over.any(axis=1), over.argmax(axis=1), chunk).tolist()
-        within = (steps <= horizon).sum(axis=1).tolist()
-        for edge, rng, gap_row, step_row, j, k in zip(group, rngs, gaps, steps, uncapped, within):
-            times = step_row[: min(j, k)].tolist()
-            if k >= j:  # step j needs capping, or the chunk ends within the horizon
-                t = times[-1] if times else 0.0
-                pending = gap_row[j:].tolist()
-                while t <= horizon:
-                    for gap in pending:
-                        t = _capped_step(t, gap, max_gap)
-                        if t > horizon:
-                            break
-                        times.append(t)
-                    else:
-                        pending = (max_gap - rng.uniform(0.0, max_gap - low, size=chunk)).tolist()
-            sends[edge] = tuple(times)
+    for src, dst in edges:
+        rng = np.random.default_rng((seed, 0x5C4ED, src, dst))
+        times = []
+        t = 0.0
+        while t <= horizon:
+            for gap in (max_gap - rng.uniform(0.0, max_gap - low, size=chunk)).tolist():
+                t = _capped_step(t, gap, max_gap)
+                if t > horizon:
+                    break
+                times.append(t)
+        sends[(src, dst)] = tuple(times)
     return sends
 
 

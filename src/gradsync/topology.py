@@ -116,26 +116,44 @@ def _bfs(adj) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _topology(n: int, edges) -> Topology:
-    """The graph on nodes 0..n-1 whose edges are the undirected (u, v) pairs
-    in edges; a repeated or reversed pair is the same edge. Its BFS takes a
-    step per node and directed edge: over 50 x WORKLOAD_CAP are refused."""
-    pairs = set()
-    for u, v in edges:
-        if u == v:
+def _topology(n: int, pairs: np.ndarray) -> Topology:
+    """The graph on nodes 0..n-1 whose edges are the rows (u, v) of the
+    (m, 2) integer array pairs; a repeated or reversed pair is the same
+    edge. Its BFS takes a step per node and directed edge: over 50 x
+    WORKLOAD_CAP are refused. The checks run in numpy, so a refused graph
+    makes no Python object per edge."""
+    loop = pairs[:, 0] == pairs[:, 1]
+    outside = (pairs < 0) | (pairs >= n)
+    faulty = np.flatnonzero(loop | outside.any(axis=1))
+    if faulty.size:
+        i = faulty[0]
+        u, v = pairs[i].tolist()
+        if loop[i]:
             raise TopologyError(f"edge ({u}, {v}) is a self-loop at node {u}")
-        for w in (u, v):
-            if not 0 <= w < n:
-                raise TopologyError(f"edge ({u}, {v}) names node {w}, outside 0..{n - 1}")
-        pairs.add((min(u, v), max(u, v)))
-    steps = n * 2 * len(pairs)
+        w = u if outside[i, 0] else v
+        raise TopologyError(f"edge ({u}, {v}) names node {w}, outside 0..{n - 1}")
+    # the distinct nodes touched, and each pair as (lower, higher) ranks
+    nodes, ranks = np.unique(pairs, return_inverse=True)
+    ranks = ranks.reshape(-1, 2)
+    keys = np.sort(ranks.min(axis=1) * nodes.size + ranks.max(axis=1))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique hashes: 50x slower here
+    steps = n * 2 * keys.size
     if steps > 50 * WORKLOAD_CAP:
         raise TopologyError(
-            f"graph of {n:,} nodes and {len(pairs):,} edges takes {steps:,} BFS steps "
+            f"graph of {n:,} nodes and {keys.size:,} edges takes {steps:,} BFS steps "
             f"(nodes x directed edges), over {50 * WORKLOAD_CAP:,}"
         )
+    if nodes.size < n:
+        # a node no edge touches is cut off: name the lowest such node with
+        # node 0, or node 1 when it is node 0 itself
+        untouched = np.flatnonzero(nodes != np.arange(nodes.size))
+        lowest = int(untouched[0]) if untouched.size else nodes.size
+        raise _Disconnected(f"nodes 0 and {lowest or 1} are disconnected")
+    # every node is touched, so the ranks are the ids; the keys ascend, so
+    # each list fills in ascending order
     adj = [[] for _ in range(n)]
-    for u, v in sorted(pairs):  # so each list fills in ascending order
+    lower, higher = np.divmod(keys, n)
+    for u, v in zip(lower.tolist(), higher.tolist()):
         adj[u].append(v)
         adj[v].append(u)
     adj = tuple(map(tuple, adj))
@@ -147,14 +165,14 @@ def chain(n: int) -> Topology:
     """Path graph 0-1-...-(n-1)."""
     if n < 2:
         raise TopologyError(f"chain needs n >= 2, got {n}")
-    return _topology(n, ((i, i + 1) for i in range(n - 1)))
+    return _topology(n, np.arange(n - 1)[:, None] + [0, 1])
 
 
 def ring(n: int) -> Topology:
     """Cycle graph on n >= 3 nodes."""
     if n < 3:
         raise TopologyError(f"ring needs n >= 3, got {n}")
-    return _topology(n, ((i, (i + 1) % n) for i in range(n)))
+    return _topology(n, (np.arange(n)[:, None] + [0, 1]) % n)
 
 
 def grid(rows: int, cols: int) -> Topology:
@@ -162,8 +180,9 @@ def grid(rows: int, cols: int) -> Topology:
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise TopologyError(f"grid needs at least 2 nodes, got {rows}x{cols}")
     n = rows * cols
-    right = [(u, u + 1) for u in range(n) if (u + 1) % cols]
-    return _topology(n, right + [(u, u + cols) for u in range(n - cols)])
+    nodes = np.arange(n)[:, None]
+    right = nodes[(nodes[:, 0] + 1) % cols != 0] + [0, 1]
+    return _topology(n, np.concatenate((right, nodes[: n - cols] + [0, cols])))
 
 
 def random_geometric(
@@ -191,7 +210,7 @@ def random_geometric(
         pts = rng.random((n, 2))
         close = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2) <= radius * radius
         try:
-            return _topology(n, np.argwhere(np.triu(close, 1)).tolist())
+            return _topology(n, np.argwhere(np.triu(close, 1)))
         except _Disconnected:
             continue
     raise TopologyError(
@@ -205,4 +224,8 @@ def from_edges(edges) -> Topology:
     pairs = [(int(u), int(v)) for u, v in edges]
     if not pairs:
         raise TopologyError("edge list is empty")
-    return _topology(max(max(pair) for pair in pairs) + 1, pairs)
+    try:
+        array = np.array(pairs, dtype=np.int64)
+    except OverflowError:  # an id past int64 stays a Python int, named exactly
+        array = np.array(pairs, dtype=object)
+    return _topology(max(max(pair) for pair in pairs) + 1, array)

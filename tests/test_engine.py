@@ -229,6 +229,18 @@ SCRIPTED_TIES = {
 }
 
 
+# Built as a CommSchedule directly, since generate_schedule refuses
+# repeats: equal times on one edge and across edges. Edge 0->1 sends at 0.0
+# and then at -0.0, equal times that the sign bit tells apart, so the
+# columns show whether each edge's sends kept their order.
+REPEATED_TIMES = {
+    (0, 1): (0.0, -0.0, 1.0, 1.0, 2.0),
+    (1, 0): (-0.0, 0.0, 1.0, 2.0),
+    (1, 2): (0.0, 1.0, 2.0, 2.0),
+    (2, 1): (1.0, 1.0, 1.0),
+}
+
+
 class TestEventOrder:
     """CommSchedule.events() is the Python key sort (t, -src, dst, seq), as columns."""
 
@@ -240,11 +252,15 @@ class TestEventOrder:
             (ring(6), "random_uniform", 12.0),
             (random_geometric(20, 0.4, 3), "random_uniform", 8.0),
             (ring(4), "scripted", 3.0),
+            (None, "repeated", 2.0),
         ],
     )
     def test_columns_match_key_sort(self, topology, mode, horizon):
-        scripted = SCRIPTED_TIES if mode == "scripted" else None
-        sched = generate_schedule(topology, 1.0, mode, 7, horizon, scripted=scripted)
+        if mode == "repeated":
+            sched = engine.CommSchedule(max_gap=1.0, horizon=horizon, sends=REPEATED_TIMES)
+        else:
+            scripted = SCRIPTED_TIES if mode == "scripted" else None
+            sched = generate_schedule(topology, 1.0, mode, 7, horizon, scripted=scripted)
         reference = sorted(
             (t, -src, dst, k)
             for (src, dst), times in sched.sends.items()
@@ -252,6 +268,7 @@ class TestEventOrder:
         )
         times, src, dst = sched.events()
         assert times.tolist() == [key[0] for key in reference]
+        assert np.signbit(times).tolist() == [math.copysign(1.0, key[0]) < 0 for key in reference]
         assert src.tolist() == [-key[1] for key in reference]
         assert dst.tolist() == [key[2] for key in reference]
         if mode != "random_uniform":
@@ -401,6 +418,16 @@ class TestValidate:
             f"random_geometric topology of {n:,} nodes with {retries:,} retries "
             f"may compare over {50 * WORKLOAD_CAP:,} node pairs"
         ]
+
+    def test_dense_random_geometric_refused_before_an_object_per_edge(self):
+        # over 600,000 edges: a Python tuple each took 1.4 s before the count
+        spec = TopologySpec(kind="random_geometric", n=2500, radius=0.3)
+        start = time.process_time()
+        problems = validate_config(self.base(topology=spec, horizon=2.0))
+        assert time.process_time() - start < 0.8
+        assert len(problems) == 1
+        assert problems[0].startswith("graph of 2,500 nodes and ")
+        assert problems[0].endswith(" BFS steps (nodes x directed edges), over 500,000,000")
 
     def test_negative_seeds_and_retries_refused(self):
         rgg = TopologySpec(kind="random_geometric", n=20, radius=0.4)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,24 @@ def test_disconnected_rejection_names_a_pair():
         from_edges([(0, 1), (2, 3)])
 
 
+@pytest.mark.parametrize(
+    "edges,nodes",
+    [([(1, 2)], (0, 1)), ([(3, 4), (4, 5), (5, 3), (0, 1)], (0, 2)), ([(0, 2_000_000)], (0, 1))],
+)
+def test_untouched_node_refused_before_any_adjacency(edges, nodes):
+    # node 0 untouched is named with node 1; else the lowest untouched node
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            topo_mod._Disconnected, match=f"^nodes {nodes[0]} and {nodes[1]} are disconnected$"
+        ):
+            from_edges(edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_too_small_rejected():
     with pytest.raises(TopologyError, match="n >= 2"):
         chain(1)
@@ -112,6 +131,15 @@ def test_self_loop_rejected():
         from_edges([(0, 0), (0, 1)])
     with pytest.raises(TopologyError, match=r"^edge \(1, 1\) is a self-loop at node 1$"):
         from_edges([(0, 1), (1, 1)])
+    # the first faulty edge in input order; a self-loop is named before a bad id
+    with pytest.raises(TopologyError, match=r"^edge \(5, 5\) is a self-loop at node 5$"):
+        from_edges([(0, 1), (5, 5), (-1, 2)])
+    with pytest.raises(TopologyError, match=r"^edge \(-1, -1\) is a self-loop at node -1$"):
+        from_edges([(0, 1), (-1, -1)])
+    big = 10**30  # past int64, still named exactly
+    named = f"edge ({big}, {big}) is a self-loop at node {big}"
+    with pytest.raises(TopologyError, match=f"^{re.escape(named)}$"):
+        from_edges([(0, 1), (big, big)])
 
 
 @pytest.mark.parametrize(
@@ -120,6 +148,9 @@ def test_self_loop_rejected():
         ([(0, 1), (1, 2), (-3, 1)], "edge (-3, 1) names node -3, outside 0..2"),
         ([(0, 1), (1, 2), (2, -3)], "edge (2, -3) names node -3, outside 0..2"),
         ([(-1, 0)], "edge (-1, 0) names node -1, outside 0..0"),
+        ([(0, 1), (-1, 2), (5, 5)], "edge (-1, 2) names node -1, outside 0..5"),
+        ([(0, 3), (-1, -2)], "edge (-1, -2) names node -1, outside 0..3"),
+        ([(-10**30, 1)], f"edge ({-10**30}, 1) names node {-10**30}, outside 0..1"),
     ],
 )
 def test_negative_edge_id_refused(edges, named):
@@ -135,6 +166,13 @@ def test_bfs_steps_over_the_bound_refused(monkeypatch):
     named = "graph of 51 nodes and 50 edges takes 5,100 BFS steps (nodes x directed edges), over 5,000"
     with pytest.raises(TopologyError, match=f"^{re.escape(named)}$"):
         chain(51)
+    # an id past int64 counts into the steps exactly
+    named = (
+        f"graph of {10**30 + 1:,} nodes and 1 edges takes {2 * (10**30 + 1):,} BFS steps "
+        "(nodes x directed edges), over 5,000"
+    )
+    with pytest.raises(TopologyError, match=f"^{re.escape(named)}$"):
+        from_edges([(0, 10**30), (10**30, 0)])
 
 
 def test_random_geometric_over_the_bound_refused_on_its_first_draw(monkeypatch):
