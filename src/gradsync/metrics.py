@@ -439,8 +439,8 @@ def _report_pass(blocks, topology: "Topology") -> tuple[GlobalSkew, dict, dict]:
     most 2^-1075); when A is subnormal every subtraction is exact. Float
     subtraction rounds symmetrically, so x < y is the same case.
 
-    Candidate pairs are evaluated at most n at a time, in order, and the
-    rest are checked again against the raised maxima after each chunk.
+    Each pending pair is evaluated once, at most n at a time; one evaluated
+    without need only adds a term of its slot's all-pairs maximum.
     """
     n = topology.node_count
     first, second = np.triu_indices(n, 1)
@@ -478,11 +478,10 @@ def _fold_pairs(best, slot, first, second, sub, low, high) -> None:
     bound = np.maximum(up[first] - lo[second], up[second] - lo[first])
     bound += _SLACK_EPS * _EPS * scale
     pending = np.flatnonzero(bound > best[slot])
-    while pending.size:
-        pairs, pending = pending[: sub.shape[0]], pending[sub.shape[0] :]
+    for start in range(0, pending.size, sub.shape[0]):
+        pairs = pending[start : start + sub.shape[0]]
         skews = np.abs(sub[first[pairs]] - sub[second[pairs]])
         np.fmax.at(best, slot[pairs], np.fmax.reduce(skews, axis=1))
-        pending = pending[bound[pending] > best[slot[pending]]]
 
 
 def per_edge_max_skew(trace: Trace, warmup: float = 0.0) -> dict:
