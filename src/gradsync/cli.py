@@ -31,6 +31,7 @@ from .presets import PRESETS, preset
 __all__ = ["main"]
 
 SWEEPABLE = ("diameter", "skew_threshold", "drift_bound", "max_gap", "seed")
+SWEEP_SCHEMA = "gradsync.sweep/1"
 _SWEEP_FIELDS = ("schema", "base", "parameter", "values", "variants")
 
 
@@ -122,39 +123,64 @@ def cmd_run(args) -> int:
 
 
 def _sweep_point(base, parameter: str, value, variant: str) -> RunConfig:
+    """The config of one sweep point; value is already read. A diameter point
+    is the wait chain of that diameter with the base's label."""
+    if parameter != "diameter":
+        return replace(base, **{parameter: value}, variant=variant)
+    scenario = build_wait_chain_scenario(
+        value, base.drift_bound, base.max_gap, base.skew_threshold, variant,
+        seed=base.seed, process_on_start=base.process_on_start,
+    )
+    return replace(scenario, label=base.label)
+
+
+def _sweep_points(base, parameter: str, values: list, variants: list) -> list:
+    """(value, variant, config) of every point, values outer and variants
+    inner; raises ConfigError naming every problem, a repeated point too.
+    Each value is read once, with the parameter's reader."""
     problems: list[str] = []
-    if parameter in ("diameter", "seed"):
-        value = as_integer(value, parameter, problems)
-    else:
-        value = as_number(value, parameter, problems)
+    if parameter == "diameter":
+        # every point takes its diameter's default horizon
+        if not is_wait_chain(base):
+            problems.append("sweeping diameter requires a wait-chain base")
+        elif base.horizon != (
+            horizon := _sweep_point(base, parameter, base.diameter_bound, base.variant).horizon
+        ):
+            problems.append(
+                f"sweeping diameter requires the default horizon {horizon}, got {base.horizon}"
+            )
+    buildable = not problems
+    read = as_integer if parameter in ("diameter", "seed") else as_number
+    points, seen = [], set()
+    for value in values:
+        number = read(value, parameter, problems)
+        if number is None or not buildable:
+            continue
+        try:  # a value refused for one variant is refused for every one
+            for variant in variants:
+                if (number, variant) in seen:
+                    problems.append(
+                        f"point {parameter}={value} variant={variant} repeats an earlier point"
+                    )
+                    continue
+                seen.add((number, variant))
+                points.append((value, variant, _sweep_point(base, parameter, number, variant)))
+        except ConfigError as exc:
+            problems.extend(exc.violations)
     if problems:
         raise ConfigError(problems)
-    if parameter == "diameter":
-        if not is_wait_chain(base):
-            raise ConfigError(["sweeping diameter requires a wait-chain base"])
-
-        def scenario(diameter):
-            return build_wait_chain_scenario(
-                diameter, base.drift_bound, base.max_gap, base.skew_threshold, variant,
-                seed=base.seed, process_on_start=base.process_on_start,
-            )
-
-        # every point takes its diameter's default horizon and the base's label
-        horizon = scenario(base.diameter_bound).horizon
-        if base.horizon != horizon:
-            raise ConfigError(
-                [f"sweeping diameter requires the default horizon {horizon}, got {base.horizon}"]
-            )
-        return replace(scenario(value), label=base.label)
-    return replace(base, **{parameter: value}, variant=variant)
+    return points
 
 
 def _read_sweep(spec):
-    """(parameter, base config, values, variants) of a sweep spec; raises
-    ConfigError naming every problem."""
+    """(parameter, points) of a sweep spec, every point built as in
+    _sweep_points before any runs; raises ConfigError naming every problem."""
     if not isinstance(spec, dict):
         raise ConfigError([f"sweep spec must be an object, got {spec!r}"])
     problems = [f"unknown sweep field {key!r}" for key in spec if key not in _SWEEP_FIELDS]
+    schema = spec.get("schema", SWEEP_SCHEMA)
+    if schema != SWEEP_SCHEMA:
+        problems.append(f"schema must be {SWEEP_SCHEMA!r}, got {schema!r}")
     parameter = spec.get("parameter")
     if parameter not in SWEEPABLE:
         problems.append(f"parameter must be one of {', '.join(SWEEPABLE)}, got {parameter!r}")
@@ -186,19 +212,14 @@ def _read_sweep(spec):
             problems.extend(f"base: {line}" for line in exc.violations)
     if problems:
         raise ConfigError(problems)
-    return parameter, base, values, variants or [base.variant]
+    return parameter, _sweep_points(base, parameter, values, variants or [base.variant])
 
 
 def cmd_sweep(args) -> int:
     """Run every point, then write every output: a point that fails
     validation (each run validates its config, building its topology once)
     leaves nothing written."""
-    parameter, base, values, variants = _read_sweep(_load_json(args.sweep))
-    points = [
-        (value, variant, _sweep_point(base, parameter, value, variant))
-        for value in values
-        for variant in variants
-    ]
+    parameter, points = _read_sweep(_load_json(args.sweep))
 
     out = Path(args.out)
     summaries = []

@@ -30,6 +30,11 @@ __all__ = [
 # presets and benchmarks stay below 7e4 and 1e4.
 WORKLOAD_CAP = 10_000_000
 
+# random_geometric compares the points this many rows at a time, so a draw
+# holds (rows, n) distances and not (n, n): a dense draw is refused by its
+# edge count before any n x n array exists.
+_DISTANCE_ROWS = 256
+
 
 class TopologyError(ValueError):
     """A graph could not be built, or violates a structural requirement."""
@@ -208,9 +213,12 @@ def random_geometric(
     rng = np.random.default_rng([seed, 0x6E0])
     for _ in range(retries):
         pts = rng.random((n, 2))
-        close = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2) <= radius * radius
+        pairs = []
+        for i in range(0, n, _DISTANCE_ROWS):
+            squares = ((pts[i : i + _DISTANCE_ROWS, None, :] - pts) ** 2).sum(axis=2)
+            pairs.append(np.argwhere(np.triu(squares <= radius * radius, 1 + i)) + [i, 0])
         try:
-            return _topology(n, np.argwhere(np.triu(close, 1)))
+            return _topology(n, np.concatenate(pairs))
         except _Disconnected:
             continue
     raise TopologyError(

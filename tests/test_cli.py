@@ -510,6 +510,8 @@ class TestInputBoundary:
             ({"base": {"drift_bound": 0.1}}, "base: malformed config: missing required field 'topology'"),
             ({"parameter": "horizon"}, "parameter must be one of"),
             ({"valeus": [4]}, "unknown sweep field 'valeus'"),
+            ({"schema": 42}, "schema must be 'gradsync.sweep/1', got 42"),
+            ({"schema": "gradsync.sweep/2"}, "schema must be 'gradsync.sweep/1', got 'gradsync.sweep/2'"),
         ],
     )
     def test_malformed_sweep_spec_refused(self, tmp_path, capsys, spec, named):
@@ -650,6 +652,52 @@ class TestSweep:
         path = self.sweep_spec(tmp_path, values=[4, -2])
         out = tmp_path / "out"
         assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "values,variants,named",
+        [
+            ([4, 4], ["gradient"], ["point diameter=4 variant=gradient repeats an earlier point"]),
+            ([4, 8], ["gradient", "gradient"], [
+                "point diameter=4 variant=gradient repeats an earlier point",
+                "point diameter=8 variant=gradient repeats an earlier point",
+            ]),
+            ([4, 4.0], ["gradient"], ["point diameter=4.0 variant=gradient repeats an earlier point"]),
+        ],
+    )
+    def test_repeated_point_refused(self, tmp_path, capsys, values, variants, named):
+        path = self.sweep_spec(tmp_path, values=values, variants=variants)
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "".join(f"violation: {line}\n" for line in named)
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "parameter,values,named",
+        [
+            ("seed", ["a", -1.5, True], [
+                "seed must be an integer, got 'a'",
+                "seed must be an integer, got -1.5",
+                "seed must be an integer, got True",
+            ]),
+            ("diameter", [0, "a", 5_000_000, 4], [
+                "diameter must be >= 1, got 0",
+                "diameter must be an integer, got 'a'",
+                "wait chain of diameter 5,000,000 has over 10,000,000 node pairs",
+            ]),
+        ],
+    )
+    def test_every_value_problem_named_before_any_point_runs(
+        self, tmp_path, capsys, parameter, values, named
+    ):
+        path = self.sweep_spec(tmp_path, parameter=parameter, values=values)
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "".join(f"violation: {line}\n" for line in named)
+        assert captured.out == ""
         assert not out.exists()
 
     def test_point_refused_by_its_run_leaves_nothing_written(self, tmp_path, capsys):

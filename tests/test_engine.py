@@ -429,6 +429,19 @@ class TestValidate:
         assert problems[0].startswith("graph of 2,500 nodes and ")
         assert problems[0].endswith(" BFS steps (nodes x directed edges), over 500,000,000")
 
+    def test_dense_random_geometric_refused_without_an_n_by_n_array(self):
+        # the (n, n, 2) differences alone are 100 MB at 2,500 nodes; the
+        # refusal holds the (m, 2) edge pairs, about 80 MB
+        spec = TopologySpec(kind="random_geometric", n=2500, radius=0.3)
+        tracemalloc.start()
+        try:
+            problems = validate_config(self.base(topology=spec, horizon=2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(problems) == 1 and problems[0].startswith("graph of 2,500 nodes and ")
+        assert peak < 110e6
+
     def test_negative_seeds_and_retries_refused(self):
         rgg = TopologySpec(kind="random_geometric", n=20, radius=0.4)
         assert validate_config(self.base(seed=-1)) == ["seed must be non-negative, got -1"]
