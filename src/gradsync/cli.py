@@ -139,13 +139,12 @@ def _sweep_points(base, parameter: str, values: list, variants: list) -> list:
     inner; raises ConfigError naming every problem, a repeated point too.
     Each value is read once, with the parameter's reader."""
     problems: list[str] = []
-    if parameter == "diameter":
+    if parameter == "diameter" and not is_wait_chain(base):
+        problems.append("sweeping diameter requires a wait-chain base")
+    elif parameter == "diameter":
         # every point takes its diameter's default horizon
-        if not is_wait_chain(base):
-            problems.append("sweeping diameter requires a wait-chain base")
-        elif base.horizon != (
-            horizon := _sweep_point(base, parameter, base.diameter_bound, base.variant).horizon
-        ):
+        horizon = _sweep_point(base, parameter, base.diameter_bound, base.variant).horizon
+        if base.horizon != horizon:
             problems.append(
                 f"sweeping diameter requires the default horizon {horizon}, got {base.horizon}"
             )

@@ -322,10 +322,12 @@ class TestBuilderReference:
                     self.assert_same(grid(rows, cols), expected)
 
     # the preset, the benchmark's random field at both its sizes, the
-    # 200-node baseline, and draws that connect only after a retry
+    # 200-node baseline, draws that connect only after a retry, and 300
+    # nodes, whose points are compared in two blocks of rows
     @pytest.mark.parametrize(
         "n,radius,seed",
-        [(50, 0.3, 7), (80, 0.22, 11), (12, 0.5, 11), (200, 0.14, 1), (30, 0.22, 3)],
+        [(50, 0.3, 7), (80, 0.22, 11), (12, 0.5, 11), (200, 0.14, 1), (30, 0.22, 3),
+         (300, 0.12, 1)],
     )
     def test_random_geometric(self, n, radius, seed):
         expected = self.random_geometric_reference(n, radius, seed)
