@@ -15,6 +15,7 @@ from pathlib import Path
 from .engine import (
     ConfigError,
     RunConfig,
+    _config_violations,
     as_integer,
     as_number,
     build_wait_chain_scenario,
@@ -136,8 +137,8 @@ def _sweep_point(base, parameter: str, value, variant: str) -> RunConfig:
 
 def _sweep_points(base, parameter: str, values: list, variants: list) -> list:
     """(value, variant, config) of every point, values outer and variants
-    inner; raises ConfigError naming every problem, a repeated point too.
-    Each value is read once, with the parameter's reader."""
+    inner; raises ConfigError naming every problem, a repeated point or a
+    point's config violation too. Each value is read once, by its reader."""
     problems: list[str] = []
     if parameter == "diameter" and not is_wait_chain(base):
         problems.append("sweeping diameter requires a wait-chain base")
@@ -163,7 +164,10 @@ def _sweep_points(base, parameter: str, values: list, variants: list) -> list:
                     )
                     continue
                 seen.add((number, variant))
-                points.append((value, variant, _sweep_point(base, parameter, number, variant)))
+                config = _sweep_point(base, parameter, number, variant)
+                for problem in _config_violations(config):  # builds no topology
+                    problems.append(f"point {parameter}={value} variant={variant}: {problem}")
+                points.append((value, variant, config))
         except ConfigError as exc:
             problems.extend(exc.violations)
     if problems:
@@ -216,8 +220,8 @@ def _read_sweep(spec):
 
 def cmd_sweep(args) -> int:
     """Run every point, then write every output: a point that fails
-    validation (each run validates its config, building its topology once)
-    leaves nothing written."""
+    validation leaves nothing written. Each run checks what needs its
+    topology, building it once."""
     parameter, points = _read_sweep(_load_json(args.sweep))
 
     out = Path(args.out)

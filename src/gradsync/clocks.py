@@ -3,16 +3,18 @@
 A clock's rate at real time t is 1 + drift(t), with |drift| <= drift_bound
 and drift_bound in [0, 1). Hardware time is the running integral of that
 rate from 0, evaluated exactly segment by segment, so all downstream clock
-functions stay piecewise linear.
+functions stay piecewise linear. A run's clocks share their breakpoints, so
+the engine and the metrics read them all from one ClockTable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["DriftSchedule", "HardwareClock", "make_drift_schedule"]
+__all__ = ["ClockTable", "DriftSchedule", "HardwareClock", "clock_table", "make_drift_schedule"]
 
 DRIFT_MODES = ("constant", "piecewise_random", "adversarial_extreme")
 
@@ -68,13 +70,6 @@ class HardwareClock:
     def horizon(self) -> float:
         return self.schedule.horizon
 
-    @property
-    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(breaks, origins, rates): segment k begins at breaks[k], where H
-        reads origins[k], and advances at rates[k] = 1 + drift; H(t) is
-        origins[k] + rates[k] * (t - breaks[k]) on it."""
-        return self._segments
-
     def hardware_time(self, t):
         """H(t) for scalar or array t in [0, horizon]; exact per segment. A
         scalar t gives a float."""
@@ -88,6 +83,31 @@ class HardwareClock:
         k = breaks.searchsorted(ts, side="right") - 1
         out = origins[k] + rates[k] * (ts - breaks[k])
         return float(out) if ts.ndim == 0 else out
+
+
+class ClockTable(NamedTuple):
+    """Clocks that share their breakpoints, one row per clock: from breaks[k]
+    on, clock i reads origins[i, k] + rates[i, k] * (t - breaks[k]), as
+    HardwareClock.hardware_time does, with rates = 1 + drift."""
+
+    breaks: np.ndarray
+    origins: np.ndarray
+    rates: np.ndarray
+    horizon: float
+
+
+def clock_table(clocks) -> ClockTable:
+    """The ClockTable of clocks, in order; raises ValueError if a clock's
+    breakpoints or horizon differ from the first's. Each row's origins are
+    its clock's hardware_time at the breaks, where the rate term adds +0.0."""
+    first = clocks[0].schedule
+    for i, clock in enumerate(clocks):
+        if (clock.schedule.breakpoints, clock.horizon) != (first.breakpoints, first.horizon):
+            raise ValueError(f"clock {i} does not share the breakpoints and horizon of clock 0")
+    breaks = np.array(first.breakpoints, dtype=float)
+    origins = np.array([clock.hardware_time(breaks) for clock in clocks])
+    rates = 1.0 + np.array([clock.schedule.rates for clock in clocks], dtype=float)
+    return ClockTable(breaks, origins, rates, first.horizon)
 
 
 def make_drift_schedule(

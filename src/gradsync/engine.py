@@ -26,7 +26,7 @@ import numpy as np
 
 from . import topology as topo_mod
 from .topology import WORKLOAD_CAP
-from .clocks import DRIFT_MODES, HardwareClock, make_drift_schedule
+from .clocks import DRIFT_MODES, ClockTable, HardwareClock, clock_table, make_drift_schedule
 from .metrics import EventLog, NodeHistory, Trace, _rows
 from .protocol import (
     VARIANTS,
@@ -437,8 +437,8 @@ def validate_config(config: RunConfig) -> list[str]:
     return violations
 
 
-def _validate(config: RunConfig):
-    """Violations, and the topology and horizon where the topology builds."""
+def _config_violations(config: RunConfig) -> list[str]:
+    """The violations found from the config's own fields, building nothing."""
     v: list[str] = []
     for path, (_, read) in _FIELDS.items():
         value = _value(config, path)
@@ -490,7 +490,12 @@ def _validate(config: RunConfig):
             f"gap_min must lie in [0, max_gap), got {config.gap_min} "
             f"with max_gap {config.max_gap}"
         )
+    return v
 
+
+def _validate(config: RunConfig):
+    """Violations, and the topology and horizon where the topology builds."""
+    v = _config_violations(config)
     topology = horizon = None
     try:
         topology = config.topology.build(default_seed=max(config.seed, 0))  # < 0 is refused above
@@ -615,27 +620,21 @@ def resolve(config: RunConfig) -> Setup:
     )
 
 
-def sample_grid(event_times, clocks, horizon: float) -> np.ndarray:
+def sample_grid(event_times, table: ClockTable) -> np.ndarray:
     """Sorted sample times: run start, every event time, every drift
     breakpoint inside the run, and the horizon. Between two consecutive
     samples every logical clock is linear in real time."""
-    parts = [np.array([0.0, horizon]), np.asarray(event_times, dtype=float)]
-    for clock in clocks:
-        breaks = clock.segments[0]
-        parts.append(breaks[(breaks > 0.0) & (breaks < horizon)])
-    return np.unique(np.concatenate(parts))
+    breaks, horizon = table.breaks, table.horizon
+    inside = breaks[(breaks > 0.0) & (breaks < horizon)]
+    return np.unique(np.concatenate(([0.0, horizon], np.asarray(event_times, dtype=float), inside)))
 
 
-def _hardware_times(clocks, times: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """clocks[nodes[k]].hardware_time(times[k]) for every k, evaluated with
-    one vector call per node."""
-    out = np.empty_like(times)
-    order = np.argsort(nodes, kind="stable")
-    bounds = np.searchsorted(nodes[order], np.arange(len(clocks) + 1))
-    for i, clock in enumerate(clocks):
-        idx = order[bounds[i]:bounds[i + 1]]
-        out[idx] = clock.hardware_time(times[idx])
-    return out
+def _hardware_times(table: ClockTable, times: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """clocks[nodes[k]].hardware_time(times[k]) for every k, gathered from
+    the clocks' table with one search into the shared breaks."""
+    k = table.breaks.searchsorted(times, side="right") - 1
+    at = nodes * table.breaks.size + k  # flat index of (nodes, k)
+    return table.origins.ravel()[at] + table.rates.ravel()[at] * (times - table.breaks[k])
 
 
 def _rebase_history(
@@ -704,7 +703,8 @@ def run(config: RunConfig) -> Trace:
     carries nothing and j is unaffected. Initiators start at t = 0.
     """
     setup = resolve(config)
-    topology, horizon, params, clocks = setup.topology, setup.horizon, setup.params, setup.clocks
+    topology, horizon, params = setup.topology, setup.horizon, setup.params
+    table = clock_table(setup.clocks)
     n = topology.node_count
 
     states = [fresh_state(i, topology.neighbors(i)) for i in range(n)]
@@ -728,8 +728,8 @@ def run(config: RunConfig) -> Trace:
     payloads = np.full(times.size, np.nan)
     started = np.zeros(times.size, dtype=bool)
     toggles = np.zeros(times.size, dtype=np.int8)
-    h_dsts = _hardware_times(clocks, times, dsts)
-    rows = _rows(srcs, dsts, _hardware_times(clocks, times, srcs), h_dsts)
+    h_dsts = _hardware_times(table, times, dsts)
+    rows = _rows(srcs, dsts, _hardware_times(table, times, srcs), h_dsts)
     for k, (src, dst, h_src, h_dst) in enumerate(rows):
         payload = emit(states[src], h_src)
         if payload is None:
@@ -761,9 +761,10 @@ def run(config: RunConfig) -> Trace:
         diameter_bound=setup.diameter_bound,
         effective_skew_threshold=params.skew_threshold,
         horizon=horizon,
-        sample_times=sample_grid(times, clocks, horizon),
+        sample_times=sample_grid(times, table),
         events=EventLog(times, srcs, dsts, payloads, started, jumps, toggles),
-        clocks=clocks,
+        clocks=setup.clocks,
+        clock_table=table,
         history=history,
     )
 

@@ -7,7 +7,8 @@ the horizon. Between consecutive samples every logical clock is linear in
 real time, so skew maxima over the whole run are attained at sample points
 and the reported statistics are exact, not approximations. The report and
 the CSV writer evaluate logical values on the grid from the history block
-by block, so neither holds a nodes x samples array.
+by block, so neither holds a nodes x samples array, and read the hardware
+clocks from one clocks.ClockTable.
 
 The pair maxima (per edge, and per hop distance) are not taken over every
 pair at every sample. Per sub-block of samples each node's clock, less the
@@ -24,12 +25,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .clocks import ClockTable, HardwareClock
+
 if TYPE_CHECKING:
-    from .clocks import HardwareClock
     from .engine import RunConfig
     from .topology import Topology
 
@@ -134,7 +137,8 @@ class Trace:
 
     sample_times is strictly increasing. history and clocks are the only
     form of the clock values: logical and rates derive one row per node and
-    one column per sample from them, NaN before the node started. Likewise
+    one column per sample from them, NaN before the node started; the
+    clocks are read from clock_table, their clocks.clock_table. Likewise
     the events' toggle column is the only form of the slowdown decisions.
     """
 
@@ -145,7 +149,8 @@ class Trace:
     horizon: float
     sample_times: np.ndarray
     events: EventLog
-    clocks: tuple["HardwareClock", ...]
+    clocks: tuple[HardwareClock, ...]
+    clock_table: ClockTable
     history: tuple[NodeHistory, ...]
 
     @property
@@ -175,7 +180,7 @@ class Trace:
 
     def evaluate_logical(self, times) -> np.ndarray:
         """Exact logical values at non-decreasing real times in [0, horizon]."""
-        return sample_history(self.history, self.clocks, times, factors=False)[0]
+        return sample_history(self.history, self.clock_table, times, factors=False)[0]
 
     # The dense views below build a nodes x samples array on every access;
     # they are for tests and demos. The report and the CSV writer evaluate
@@ -189,13 +194,13 @@ class Trace:
     def rates(self) -> np.ndarray:
         """Forward logical rate on each sample's interval; NaN at the final
         sample, which has no forward interval."""
-        rates = sample_history(self.history, self.clocks, self.sample_times)[2]
+        rates = sample_history(self.history, self.clock_table, self.sample_times)[2]
         rates[:, -1] = np.nan
         return rates
 
 
 def sample_history(
-    history, clocks, times, factors: bool = True
+    history, table: ClockTable, times, factors: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Logical values, rate factors and logical rates of every node at real
     times `times`; the factors and rates are None when not asked for.
@@ -207,10 +212,10 @@ def sample_history(
     the pieces in effect from that time on: at a rebase point or a drift
     breakpoint, the new piece's.
 
-    No time is searched for: per node, only the rebase points and drift
-    segments in effect somewhere in [times[0], times[-1]] are placed among
-    the times, and each one's constants are repeated over the times it
-    covers.
+    No time is searched for: the table's drift segments, then per node the
+    rebase points, in effect somewhere in [times[0], times[-1]] are placed
+    among the times, and each one's constants (node i's row of the table)
+    are repeated over the times it covers.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or not np.all(ts[1:] >= ts[:-1]):
@@ -220,20 +225,18 @@ def sample_history(
     rates = np.full((len(history), ts.size), np.nan) if factors else None
     if ts.size == 0:
         return logical, alphas, rates
-    earliest, latest = ts[[0, -1]].tolist()
-    for i, (hist, clock) in enumerate(zip(history, clocks)):
-        if not (earliest >= 0.0 and latest <= clock.horizon):
-            raise ValueError(f"time outside covered horizon [0, {clock.horizon}]")
+    breaks, origins, hw_rates, horizon = table
+    if not (ts[0] >= 0.0 and ts[-1] <= horizon):
+        raise ValueError(f"time outside covered horizon [0, {horizon}]")
+    # every time is at least breaks[0] = 0, so the segments cover them all
+    seg, _, seg_counts = _pieces(breaks, ts)
+    since = ts - breaks[seg].repeat(seg_counts)
+    for i, hist in enumerate(history):
         span, first, counts = _pieces(hist.times, ts)
         if first == ts.size:
             continue
-        now = ts[first:]
-        breaks, origins, hw_rates = clock.segments
-        seg, _, seg_counts = _pieces(breaks, now)
-        hw_rate = hw_rates[seg].repeat(seg_counts)
-        hardware = origins[seg].repeat(seg_counts) + hw_rate * (
-            now - breaks[seg].repeat(seg_counts)
-        )
+        hw_rate = hw_rates[i, seg].repeat(seg_counts)[first:]
+        hardware = origins[i, seg].repeat(seg_counts)[first:] + hw_rate * since[first:]
         alpha = hist.factors[span].repeat(counts)
         logical[i, first:] = hist.values[span].repeat(counts) + alpha * (
             hardware - hist.hardware[span].repeat(counts)
@@ -500,19 +503,19 @@ def rate_floor(trace: Trace) -> float:
 
     A node's rate changes only at its rebase times and drift breakpoints,
     and each of those in [start, horizon) is a sample, so the minimum over
-    those points, read from sample_history, is the minimum over every
-    sample before the horizon.
+    those points, read from sample_history on its row of the clock table,
+    is the minimum over every sample before the horizon.
     """
     lowest = math.inf
-    for hist, clock in zip(trace.history, trace.clocks):
+    breaks, origins, rates, horizon = trace.clock_table
+    for i, hist in enumerate(trace.history):
         if hist.times.size == 0:
             continue
-        breaks = clock.segments[0]
         points = np.sort(np.concatenate([hist.times, breaks[breaks >= hist.times[0]]]))
         points = points[points < trace.horizon]
         if points.size:
-            rates = sample_history((hist,), (clock,), points)[2]
-            lowest = min(lowest, float(rates.min()))
+            row = ClockTable(breaks, origins[i : i + 1], rates[i : i + 1], horizon)
+            lowest = min(lowest, float(sample_history((hist,), row, points)[2].min()))
     return lowest if lowest < math.inf else float("nan")
 
 
@@ -625,9 +628,8 @@ def trace_csv_text(trace: Trace, out=None) -> str | None:
         if payload == payload:  # not NaN: the message carried a value
             kinds.setdefault((t, dst), {})["recv"] = None
         kinds.setdefault((t, src), {})["send"] = None
-    for node, clock in enumerate(trace.clocks):
-        for b in clock.schedule.breakpoints[1:]:
-            kinds.setdefault((b, node), {})["drift"] = None
+    for key in product(trace.clock_table.breaks[1:].tolist(), range(trace.node_count)):
+        kinds.setdefault(key, {})["drift"] = None
     for node in trace.config.initiators:
         kinds.setdefault((0.0, node), {})["start"] = None
     joined = {key: "+".join(names) for key, names in kinds.items()}
@@ -638,7 +640,7 @@ def trace_csv_text(trace: Trace, out=None) -> str | None:
     total = trace.sample_times.size
     for s0 in range(0, total, _CSV_BLOCK):
         times = trace.sample_times[s0 : s0 + _CSV_BLOCK]
-        logical, alphas, rates = sample_history(trace.history, trace.clocks, times)
+        logical, alphas, rates = sample_history(trace.history, trace.clock_table, times)
         if s0 + times.size == total:
             rates[:, -1] = np.nan
         lines = []

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clocks import clock_table
 from .engine import WORKLOAD_CAP, ConfigError, RunConfig, resolve, sample_grid
 from .metrics import Trace
 
@@ -74,8 +75,8 @@ def oracle_run(config: RunConfig, dt: float) -> OracleRun:
     slowdown = config.variant == "gradient"
     reduced = 1.0 / setup.diameter_bound
 
-    breaks = [list(c.schedule.breakpoints) for c in clocks]
-    drifts = [list(c.schedule.rates) for c in clocks]
+    table = clock_table(clocks)
+    breaks, rates = table.breaks.tolist(), table.rates.tolist()
     times, srcs, dsts = setup.schedule.events()
     events = list(zip(times.tolist(), srcs.tolist(), dsts.tolist()))
 
@@ -89,9 +90,7 @@ def oracle_run(config: RunConfig, dt: float) -> OracleRun:
     reduced_done: dict[tuple[int, int], list[tuple[float, float]]] = {}
 
     def clock_rate(i: int, t: float) -> float:
-        k = bisect_right(breaks[i], t) - 1
-        k = min(max(k, 0), len(drifts[i]) - 1)
-        return 1.0 + drifts[i][k]
+        return rates[i][bisect_right(breaks, t) - 1]  # t >= breaks[0] = 0
 
     def advance(i: int, target: float):
         cur = upto[i]
@@ -134,7 +133,7 @@ def oracle_run(config: RunConfig, dt: float) -> OracleRun:
         started[i] = True
         start_times[i] = 0.0
 
-    grid = sample_grid(times, clocks, horizon)
+    grid = sample_grid(times, table)
 
     logical = np.full((n, grid.size), np.nan)
     ei = 0

@@ -700,9 +700,21 @@ class TestSweep:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_every_invalid_point_named_before_any_point_runs(self, tmp_path, capsys):
+        path = self.sweep_spec(tmp_path, values=[4, 8], variants=["gradient", "gradeint"])
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "violation: point diameter=4 variant=gradeint: unknown variant 'gradeint'\n"
+            "violation: point diameter=8 variant=gradeint: unknown variant 'gradeint'\n"
+        )
+        assert "diameter_4_gradient:" not in captured.out
+        assert not out.exists()
+
     def test_point_refused_by_its_run_leaves_nothing_written(self, tmp_path, capsys):
-        # the second threshold exceeds (1 + drift_bound) * max_gap; the first
-        # point has already run when its refusal comes
+        # the second threshold exceeds (1 + drift_bound) * max_gap; it is
+        # refused before the first point runs
         path = self.sweep_spec(
             tmp_path, parameter="skew_threshold", values=[1.0, 5.0], variants=["gradient"]
         )

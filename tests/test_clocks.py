@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradsync.clocks import DriftSchedule, HardwareClock, make_drift_schedule
+from gradsync.clocks import DriftSchedule, HardwareClock, clock_table, make_drift_schedule
 from gradsync.metrics import NodeHistory, sample_history
 
 
@@ -55,6 +55,22 @@ def test_nan_time_rejected():
         clock.hardware_time(float("nan"))
     with pytest.raises(ValueError, match=outside):
         clock.hardware_time(np.array([0.0, np.nan]))
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        DriftSchedule(0.1, (0.0, 2.5), (0.1, -0.1), 5.0),  # another breakpoint
+        DriftSchedule(0.1, (0.0,), (0.1,), 5.0),  # one segment fewer
+        DriftSchedule(0.1, (0.0, 2.0), (0.1, -0.1), 6.0),  # another horizon
+    ],
+)
+def test_clock_table_refuses_clocks_that_break_apart(other):
+    shared = DriftSchedule(0.1, (0.0, 2.0), (-0.1, 0.1), 5.0)
+    clocks = (HardwareClock(shared), HardwareClock(other))
+    refused = "clock 1 does not share the breakpoints and horizon of clock 0"
+    with pytest.raises(ValueError, match=refused):
+        clock_table(clocks)
 
 
 def test_constant_zero_and_adversarial_modes():
@@ -138,6 +154,6 @@ def test_rate_at_is_one_plus_the_drift_in_effect():
     # a node started at 0 that keeps factor 1: its logical rate is the clock's
     history = (NodeHistory(np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1)),)
     ts = np.array([0.0, 0.45, 0.9, 1.8, 4.0, 7.2, 8.0])  # 0.9, 1.8 and 7.2 are breakpoints
-    rates = sample_history(history, (clock,), ts)[2][0]
+    rates = sample_history(history, clock_table((clock,)), ts)[2][0]
     segment = [0, 0, 1, 2, 4, 8, 8]
     assert rates.tolist() == [1.0 + sched.rates[k] for k in segment]

@@ -10,6 +10,7 @@ import pytest
 
 from gradsync import engine, protocol
 from gradsync import topology as topo_mod
+from gradsync.clocks import clock_table
 from gradsync.engine import (
     WORKLOAD_CAP,
     ConfigError,
@@ -299,7 +300,7 @@ class TestEventHardwareTimes:
         inside = int(np.sum(times < setup.horizon))
         assert on_breaks == (inside if mode == "periodic" else 0)
         for nodes in (src, dst):
-            vector = _hardware_times(setup.clocks, times, nodes)
+            vector = _hardware_times(clock_table(setup.clocks), times, nodes)
             scalar = [
                 setup.clocks[i].hardware_time(t) for t, i in zip(times.tolist(), nodes.tolist())
             ]
@@ -312,10 +313,31 @@ class TestEventHardwareTimes:
             [b for c in clocks for b in c.schedule.breakpoints] + [clocks[0].horizon]
         )
         nodes = np.arange(times.size) % len(clocks)
-        vector = _hardware_times(clocks, times, nodes)
+        vector = _hardware_times(clock_table(clocks), times, nodes)
         assert vector.tolist() == [
             clocks[i].hardware_time(t) for t, i in zip(times.tolist(), nodes.tolist())
         ]
+
+
+    @pytest.mark.parametrize(
+        "mode,cfg",
+        [
+            ("adversarial_extreme", build_wait_chain_scenario(16, 0.1, 1.0, 1.0)),
+            ("constant", replace(preset("startup_chain"), drift_value=-0.07)),
+            ("piecewise_random", replace(preset("drifting_chain"), drift_dwell=0.25)),
+        ],
+    )
+    def test_matches_scalar_bit_for_bit_under_every_drift_mode(self, mode, cfg):
+        assert cfg.drift_mode == mode
+        setup = resolve(cfg)
+        table = clock_table(setup.clocks)
+        times, src, dst = setup.schedule.events()
+        for nodes in (src, dst):
+            vector = _hardware_times(table, times, nodes)
+            scalar = np.array(
+                [setup.clocks[i].hardware_time(t) for t, i in zip(times.tolist(), nodes.tolist())]
+            )
+            assert vector.view(np.int64).tolist() == scalar.view(np.int64).tolist()
 
 
 class TestValidate:
@@ -645,8 +667,8 @@ def looped_run(config):
     started = np.zeros(times.size, dtype=bool)
     jumps = np.zeros(times.size)
     toggles = np.zeros(times.size, dtype=np.int8)
-    h_srcs = _hardware_times(setup.clocks, times, srcs)
-    h_dsts = _hardware_times(setup.clocks, times, dsts)
+    h_srcs = _hardware_times(clock_table(setup.clocks), times, srcs)
+    h_dsts = _hardware_times(clock_table(setup.clocks), times, dsts)
     rows = zip(times.tolist(), srcs.tolist(), dsts.tolist(), h_srcs.tolist(), h_dsts.tolist())
     for k, (t, src, dst, h_src, h_dst) in enumerate(rows):
         payload = protocol.emit_payload(states[src], h_src)

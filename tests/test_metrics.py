@@ -502,7 +502,7 @@ class TestSampleHistory:
         points = np.concatenate([hist.times for hist in trace.history])
         assert np.unique(points).size < points.size  # equal-time rebase points occur
         for label, times in evaluator_time_sets(trace).items():
-            got = metrics.sample_history(trace.history, trace.clocks, times)
+            got = metrics.sample_history(trace.history, trace.clock_table, times)
             expected = searched_sample_history(trace.history, trace.clocks, times)
             for actual, wanted in zip(got, expected, strict=True):  # logical, alphas, rates
                 np.testing.assert_array_equal(actual, wanted, err_msg=label, strict=True)
