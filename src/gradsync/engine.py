@@ -27,7 +27,7 @@ import numpy as np
 from . import topology as topo_mod
 from .topology import WORKLOAD_CAP
 from .clocks import DRIFT_MODES, ClockTable, HardwareClock, clock_table, make_drift_schedule
-from .metrics import EventLog, NodeHistory, Trace, _rows
+from .metrics import _ROW_BLOCK, EventLog, NodeHistory, Trace, _rows
 from .protocol import (
     VARIANTS,
     ProtocolParams,
@@ -242,8 +242,9 @@ class CommSchedule:
         times = np.fromiter(
             chain.from_iterable(times for _, times in edges), dtype=float, count=int(counts.sum())
         )
-        src = np.repeat(np.array([s for (s, _), _ in edges], dtype=np.int64), counts)
-        dst = np.repeat(np.array([d for (_, d), _ in edges], dtype=np.int64), counts)
+        # int32 ids: the node-pair cap keeps n far below 2**31
+        src = np.repeat(np.array([s for (s, _), _ in edges], dtype=np.int32), counts)
+        dst = np.repeat(np.array([d for (_, d), _ in edges], dtype=np.int32), counts)
         order = np.lexsort((dst, -src, times))
         return times[order], src[order], dst[order]
 
@@ -623,18 +624,37 @@ def resolve(config: RunConfig) -> Setup:
 def sample_grid(event_times, table: ClockTable) -> np.ndarray:
     """Sorted sample times: run start, every event time, every drift
     breakpoint inside the run, and the horizon. Between two consecutive
-    samples every logical clock is linear in real time."""
+    samples every logical clock is linear in real time.
+
+    An event time equal to the one before it is dropped before the sort,
+    so in processing order only the distinct times are sorted."""
     breaks, horizon = table.breaks, table.horizon
     inside = breaks[(breaks > 0.0) & (breaks < horizon)]
-    return np.unique(np.concatenate(([0.0, horizon], np.asarray(event_times, dtype=float), inside)))
+    times = np.asarray(event_times, dtype=float)
+    distinct = np.ones(times.size, dtype=bool)
+    np.not_equal(times[1:], times[:-1], out=distinct[1:])
+    return np.unique(np.concatenate(([0.0, horizon], times[distinct], inside)))
 
 
 def _hardware_times(table: ClockTable, times: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """clocks[nodes[k]].hardware_time(times[k]) for every k, gathered from
-    the clocks' table with one search into the shared breaks."""
-    k = table.breaks.searchsorted(times, side="right") - 1
-    at = nodes * table.breaks.size + k  # flat index of (nodes, k)
-    return table.origins.ravel()[at] + table.rates.ravel()[at] * (times - table.breaks[k])
+    the clocks' table with one search into the shared breaks.
+
+    It computes origin + rate * (t - break) in place, a temporary at a
+    time; float + and * commute exactly, so the bits are those of the
+    expression as written."""
+    k = table.breaks.searchsorted(times, side="right")
+    k -= 1
+    since = times - table.breaks[k]
+    # flat index of (nodes, k), in intp so that no int32 product overflows
+    at = np.multiply(nodes, table.breaks.size, dtype=np.intp)
+    at += k
+    del k
+    hardware = table.rates.ravel()[at]
+    hardware *= since
+    del since
+    hardware += table.origins.ravel()[at]
+    return hardware
 
 
 def _rebase_history(
@@ -642,29 +662,36 @@ def _rebase_history(
 ):
     """Per-node histories and per-event jumps from the loop's rebase points.
 
-    values and factors hold one entry per rebase point in processing order:
-    one start per initiator, then per event a start where it started the
-    receiver and a reception where it carried a payload the receiver
-    processed, start first. A stable sort by node yields every node's
-    history as one slice, its start first, so each later row is a
-    reception and its jump is its value less the previous row's clock,
-    l + f * (h - h0), at its hardware time. The lists are emptied.
+    values and factors are lists of float64 blocks that, joined, hold one
+    entry per rebase point in processing order: one start per initiator,
+    then per event a start where it started the receiver and a reception
+    where it carried a payload the receiver processed, start first. A
+    stable sort by node yields every node's history as one slice, its
+    start first, so each later row is a reception and its jump is its
+    value less the previous row's clock, l + f * (h - h0), at its hardware
+    time. The lists are emptied.
     """
     processed = payloads == payloads  # not NaN: the sender had started
     if not process_on_start:
         processed &= ~started
     counts = started.astype(np.uint8) + processed
-    node = np.concatenate((initiators, np.repeat(dsts, counts)))
+    # node and event indices in int32: the workload cap keeps both small
+    node = np.concatenate((np.array(initiators, dtype=np.int32), np.repeat(dsts, counts)))
     order = np.argsort(node, kind="stable")
     bounds = np.searchsorted(node[order], np.arange(n + 1))
     del node
     # the initiators' rows come first and have no event: they read -1
-    event = np.concatenate((np.full(len(initiators), -1), np.repeat(np.arange(times.size), counts)))
+    event = np.concatenate((
+        np.full(len(initiators), -1, dtype=np.int32),
+        np.repeat(np.arange(times.size, dtype=np.int32), counts),
+    ))
     event = event[order]
-    value = np.array(values)[order]
+    value = np.concatenate(values)
     values.clear()
-    factor = np.array(factors)[order]
+    value = value[order]
+    factor = np.concatenate(factors)
     factors.clear()
+    factor = factor[order]
     del order
 
     # the initiators start at time 0, hardware time 0
@@ -709,8 +736,9 @@ def run(config: RunConfig) -> Trace:
 
     states = [fresh_state(i, topology.neighbors(i)) for i in range(n)]
     # the value and factor of every rebase point in processing order: the
-    # initiators' starts, then per event a start, a reception or both
-    values, factors = [], []
+    # initiators' starts, then per event a start, a reception or both. The
+    # lists hold one block's points; at its end they become float64 arrays.
+    values, factors, value_blocks, factor_blocks = [], [], [], []
 
     # Local aliases, taken per run so that rebinding the module names
     # (as the benchmark's tracer does) still takes effect.
@@ -728,31 +756,41 @@ def run(config: RunConfig) -> Trace:
     payloads = np.full(times.size, np.nan)
     started = np.zeros(times.size, dtype=bool)
     toggles = np.zeros(times.size, dtype=np.int8)
-    h_dsts = _hardware_times(table, times, dsts)
-    rows = _rows(srcs, dsts, _hardware_times(table, times, srcs), h_dsts)
-    for k, (src, dst, h_src, h_dst) in enumerate(rows):
-        payload = emit(states[src], h_src)
-        if payload is None:
-            continue
-        payloads[k] = payload
-        state = states[dst]
-        if not state.started:
-            started[k] = True
-            on_start(state, h_dst)
-            add_value(state.l_base)
-            add_factor(state.factor)
-            if not process_on_start:
-                receive(state, params, src, payload, h_dst, apply_step2=False)
+    h_srcs, h_dsts = _hardware_times(table, times, srcs), _hardware_times(table, times, dsts)
+    # up to and including times.size, so that even a run without events
+    # makes one pass and keeps its initiators' points
+    for start in range(0, times.size + 1, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        rows = _rows(srcs[block], dsts[block], h_srcs[block], h_dsts[block])
+        for k, (src, dst, h_src, h_dst) in enumerate(rows, start):
+            payload = emit(states[src], h_src)
+            if payload is None:
                 continue
-        reduced = state.reduced
-        receive(state, params, src, payload, h_dst)
-        add_value(state.l_base)
-        add_factor(factor_of(state))
-        if state.reduced != reduced:  # only the sender's factor can have moved
-            toggles[k] = state.reduced - reduced
+            payloads[k] = payload
+            state = states[dst]
+            if not state.started:
+                started[k] = True
+                on_start(state, h_dst)
+                add_value(state.l_base)
+                add_factor(state.factor)
+                if not process_on_start:
+                    receive(state, params, src, payload, h_dst, apply_step2=False)
+                    continue
+            reduced = state.reduced
+            receive(state, params, src, payload, h_dst)
+            add_value(state.l_base)
+            add_factor(factor_of(state))
+            if state.reduced != reduced:  # only the sender's factor can have moved
+                toggles[k] = state.reduced - reduced
+        value_blocks.append(np.array(values, dtype=float))
+        factor_blocks.append(np.array(factors, dtype=float))
+        values.clear()
+        factors.clear()
+    del h_srcs  # before the run's peak, in _rebase_history
 
     history, jumps = _rebase_history(
-        n, initiators, times, dsts, h_dsts, payloads, started, process_on_start, values, factors
+        n, initiators, times, dsts, h_dsts, payloads, started, process_on_start,
+        value_blocks, factor_blocks,
     )
 
     return Trace(

@@ -93,12 +93,13 @@ def _rows(*columns):
 @dataclass(frozen=True)
 class EventLog:
     """Every message of a run as columns, in processing order: time, src,
-    dst, the payload (NaN where the sender had not started), whether it
-    started the receiver, the receiver's jump, and its slowdown toggle:
-    int8, +1 where the reception lowered the sender's rate factor, -1 where
-    it restored it, 0 otherwise.
+    dst (both int32), the payload (NaN where the sender had not started),
+    whether it started the receiver, the receiver's jump, and its slowdown
+    toggle: int8, +1 where the reception lowered the sender's rate factor,
+    -1 where it restored it, 0 otherwise. 34 B per event in all.
 
-    Iterating yields TraceEvent records, built a block at a time.
+    Iterating yields TraceEvent records, built a block at a time, with
+    Python ints for src and dst.
     """
 
     time: np.ndarray

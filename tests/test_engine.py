@@ -23,10 +23,11 @@ from gradsync.engine import (
     generate_schedule,
     resolve,
     run,
+    sample_grid,
     validate_config,
     wait_chain_length,
 )
-from gradsync.metrics import NodeHistory, trace_csv_text
+from gradsync.metrics import _ROW_BLOCK, NodeHistory, trace_csv_text
 from gradsync.presets import PRESETS, preset
 from gradsync.topology import chain, grid, random_geometric, ring
 
@@ -708,6 +709,17 @@ def looped_run(config):
     )
 
 
+GRID_TWO_INITIATORS = RunConfig(
+    topology=TopologySpec(kind="grid", rows=4, cols=5),
+    drift_bound=0.3,
+    max_gap=1.0,
+    skew_threshold=0.1,
+    initiators=(0, 5),
+    drift_mode="piecewise_random",
+    drift_dwell=2.0,
+    schedule_mode="random_uniform",
+)
+
 LOOP_CONFIGS = {
     **{
         f"wait_chain_{variant}_{'process' if process else 'start_only'}": (
@@ -716,16 +728,10 @@ LOOP_CONFIGS = {
         for variant in ("gradient", "no_slowdown", "large_c")
         for process in (True, False)
     },
-    "grid_two_initiators": RunConfig(
-        topology=TopologySpec(kind="grid", rows=4, cols=5),
-        drift_bound=0.3,
-        max_gap=1.0,
-        skew_threshold=0.1,
-        initiators=(0, 5),
-        drift_mode="piecewise_random",
-        drift_dwell=2.0,
-        schedule_mode="random_uniform",
-    ),
+    "grid_two_initiators": GRID_TWO_INITIATORS,
+    # these two fill several blocks of events, the last one short
+    "grid_two_initiators_several_blocks": replace(GRID_TWO_INITIATORS, horizon=200.0),
+    "wait_chain_gradient_several_blocks": build_wait_chain_scenario(64, 0.1, 1.0, 1.0),
     # nodes 3 and 2 send before they start, and node 1 is woken while
     # node 2 still sends nothing
     "scripted_unstarted_senders": RunConfig(
@@ -815,6 +821,53 @@ class TestLoopReference:
         assert kinds == {
             "start+reception", "start only", "unstarted sender", "initiators", "jump", "reduced"
         }
+
+    def test_configs_fill_several_blocks_with_a_short_last_one(self):
+        sizes = [len(resolve(config).schedule.events()[0]) for config in LOOP_CONFIGS.values()]
+        assert any(size > 2 * _ROW_BLOCK and size % _ROW_BLOCK for size in sizes)
+
+
+# no event at all: the run ends before any edge is due to send
+NO_EVENTS = RunConfig(
+    topology=TopologySpec(kind="chain", n=3),
+    drift_bound=0.1,
+    max_gap=1.0,
+    skew_threshold=0.5,
+    horizon=0.9,
+    drift_mode="piecewise_random",
+    drift_dwell=0.2,
+    schedule_mode="scripted",
+    scripted_sends={},
+)
+
+GRID_CONFIGS = {**LOOP_CONFIGS, **{f"preset_{name}": preset(name) for name in PRESETS}}
+GRID_CONFIGS["no_events"] = NO_EVENTS
+
+
+class TestSampleGrid:
+    @staticmethod
+    def reference(times, table):
+        """The grid as the unique of every event time, repeats included."""
+        breaks, horizon = table.breaks, table.horizon
+        inside = breaks[(breaks > 0.0) & (breaks < horizon)]
+        return np.unique(np.concatenate(([0.0, horizon], times, inside)))
+
+    @pytest.mark.parametrize("name", sorted(GRID_CONFIGS))
+    def test_matches_the_unique_of_every_event_time(self, name):
+        trace = run(GRID_CONFIGS[name])
+        wanted = self.reference(trace.events.time, trace.clock_table)
+        np.testing.assert_array_equal(trace.sample_times, wanted, strict=True)
+        np.testing.assert_array_equal(
+            sample_grid(trace.events.time, trace.clock_table), wanted, strict=True
+        )
+
+    def test_run_without_events_keeps_the_initiators_start(self):
+        trace = run(NO_EVENTS)
+        assert len(trace.events) == 0
+        assert [h.times.tolist() for h in trace.history] == [[0.0], [], []]
+        assert trace.history[0].factors.dtype == np.float64
+        # the start, the drift breakpoints inside the run, the horizon
+        assert trace.sample_times.size == 2 + 4
 
 
 class TestConfigRoundTrip:

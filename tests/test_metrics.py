@@ -305,6 +305,15 @@ def test_event_columns_match_the_records():
     }
 
 
+def test_event_ids_are_int32_and_rows_carry_python_ints():
+    events = run(preset("random_geometric")).events
+    assert events.src.dtype == events.dst.dtype == np.int32
+    records = list(events)
+    assert {(type(ev.src), type(ev.dst)) for ev in records} == {(int, int)}
+    assert [ev.src for ev in records] == events.src.tolist()
+    assert [ev.dst for ev in records] == events.dst.tolist()
+
+
 @pytest.mark.parametrize("variant", ["gradient", "no_slowdown"])
 def test_run_holds_little_per_event(variant):
     # The rebase history takes 32 B per point and the sample grid 8 B per
@@ -325,18 +334,21 @@ def test_run_holds_little_per_event(variant):
 
 @pytest.mark.parametrize("variant", ["gradient", "no_slowdown"])
 def test_run_peaks_little_per_event(variant):
-    # At D = 64 the run peaked at 121 B per event with two flat rebase
-    # columns sorted once at the end, and at 177 B with four Python lists
-    # per node.
-    config = build_wait_chain_scenario(64, 0.1, 1.0, 1.0, variant=variant)
-    run(config)  # leave one-time allocations out of the count
-    tracemalloc.start()
-    try:
-        trace = run(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 135 * len(trace.events)
+    # The run peaks at 90.3 B per event at D = 64 and 84.3 B at D = 128;
+    # each bound is about 1.21 times its figure. With int64 event ids, the
+    # rebase values in two Python float lists and every event time sorted
+    # for the sample grid, the peaks were 111.0 and 108.5 B; with four
+    # Python lists per node, 177 B at D = 64.
+    for diameter, bound in ((64, 110), (128, 103)):
+        config = build_wait_chain_scenario(diameter, 0.1, 1.0, 1.0, variant=variant)
+        run(config)  # leave one-time allocations out of the count
+        tracemalloc.start()
+        try:
+            trace = run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * len(trace.events), diameter
 
 
 def test_dense_sampling_agrees_with_breakpoint_sampling():
