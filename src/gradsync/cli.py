@@ -16,6 +16,7 @@ from .engine import (
     ConfigError,
     RunConfig,
     _config_violations,
+    _workload_violations,
     as_integer,
     as_number,
     build_wait_chain_scenario,
@@ -138,7 +139,8 @@ def _sweep_point(base, parameter: str, value, variant: str) -> RunConfig:
 def _sweep_points(base, parameter: str, values: list, variants: list) -> list:
     """(value, variant, config) of every point, values outer and variants
     inner; raises ConfigError naming every problem, a repeated point or a
-    point's config violation too. Each value is read once, by its reader."""
+    point's config violation too, and a wait chain's workload over the cap.
+    Each value is read once, by its reader."""
     problems: list[str] = []
     if parameter == "diameter" and not is_wait_chain(base):
         problems.append("sweeping diameter requires a wait-chain base")
@@ -165,7 +167,11 @@ def _sweep_points(base, parameter: str, values: list, variants: list) -> list:
                     continue
                 seen.add((number, variant))
                 config = _sweep_point(base, parameter, number, variant)
-                for problem in _config_violations(config):  # builds no topology
+                found = _config_violations(config)  # builds no topology
+                if parameter == "diameter" and not found:
+                    # the wait chain of diameter D has D + 1 nodes and 2 D directed edges
+                    found = _workload_violations(config, 2 * number, number + 1, config.horizon)
+                for problem in found:
                     problems.append(f"point {parameter}={value} variant={variant}: {problem}")
                 points.append((value, variant, config))
         except ConfigError as exc:

@@ -27,7 +27,7 @@ import numpy as np
 from . import topology as topo_mod
 from .topology import WORKLOAD_CAP
 from .clocks import DRIFT_MODES, ClockTable, HardwareClock, clock_table, make_drift_schedule
-from .metrics import _ROW_BLOCK, EventLog, NodeHistory, Trace, _rows
+from .metrics import _ROW_BLOCK, EventLog, History, Trace, _end_rows, _rows
 from .protocol import (
     VARIANTS,
     ProtocolParams,
@@ -189,18 +189,42 @@ class CommSchedule:
 
         A periodic schedule shares one tuple among all edges, so each
         distinct tuple is checked once and its faults named on every edge.
+        One vector pass over the distinct tuples finds the faulty ones, and
+        only those are walked, to word their faults.
         """
-        found = []
         # keyed by identity: hashing a tuple walks it, and self.sends keeps
         # every tuple alive, so no id is reused during the call
-        faults: dict[int, list[str]] = {}
+        distinct = {id(times): times for times in self.sends.values()}
+        faults = {
+            key: self._faults(times) if faulty else []
+            for (key, times), faulty in zip(distinct.items(), self._faulty(distinct.values()))
+        }
+        found = []
         for (src, dst), times in sorted(self.sends.items()):
-            named = faults.get(id(times))
-            if named is None:
-                named = faults[id(times)] = self._faults(times)
-            for fault in named:
+            for fault in faults[id(times)]:
                 found.append(f"edge {src}->{dst}: {fault}")
         return found
+
+    def _faulty(self, tuples) -> list[bool]:
+        """Whether _faults finds anything in each tuple, from the same float
+        comparisons made on all the tuples' send times at once."""
+        counts = np.array([len(times) for times in tuples], dtype=np.intp)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        times = np.fromiter(chain.from_iterable(tuples), dtype=float, count=int(counts.sum()))
+        sent = counts > 0
+        # each send's gap, the first against the run start: t - 0.0 is t
+        gap = np.empty_like(times)
+        np.subtract(times[1:], times[:-1], out=gap[1:])
+        gap[starts[sent]] = times[starts[sent]]
+        # NaN fails every comparison, so a NaN time or gap is a fault
+        fine = (gap > 0.0) & (gap <= self.max_gap) & (times <= self.horizon)
+        bad = np.concatenate(([0], np.cumsum(~fine)))
+        # the last send against the horizon; without sends, the run start
+        last = np.zeros(counts.size)
+        last[sent] = times[ends[sent] - 1]
+        late = self.horizon - last > self.max_gap
+        return ((bad[ends] > bad[starts]) | late).tolist()
 
     def _faults(self, times: tuple) -> list[str]:
         """The faults of one edge's send times, each worded to follow its
@@ -543,20 +567,19 @@ def _validate(config: RunConfig):
                 except ConfigError as exc:
                     v.extend(exc.violations)
         if not v:
-            work = _workload_estimate(config, topology, horizon)
-            if work > WORKLOAD_CAP:
-                v.append(
-                    f"workload of about {work:.3g} sends and drift segments over "
-                    f"horizon {horizon!r} exceeds the cap of {WORKLOAD_CAP:,}: "
-                    "shorten the horizon or lengthen max_gap or drift.dwell"
-                )
+            v.extend(_workload_violations(
+                config, len(topology.directed_edges()), topology.node_count, horizon
+            ))
     return v, topology, horizon
 
 
-def _workload_estimate(config: RunConfig, topology, horizon: float) -> float:
-    """Sends plus drift segments of a valid config, estimated before either
-    is built.
+def _workload_violations(
+    config: RunConfig, edges: int, nodes: int, horizon: float
+) -> list[str]:
+    """The workload cap's violation, if any, of a valid config on a topology
+    of edges directed edges and nodes nodes.
 
+    Its sends plus drift segments are estimated before either is built.
     Every directed edge sends about horizon / gap times, where gap is
     max_gap for periodic sends and the mean gap (gap_min + max_gap) / 2 for
     random ones, whose smallest gap may be 0; a scripted schedule counts
@@ -569,9 +592,16 @@ def _workload_estimate(config: RunConfig, topology, horizon: float) -> float:
         if config.schedule_mode == "random_uniform":
             low = config.max_gap / 4.0 if config.gap_min is None else config.gap_min
             gap = (low + config.max_gap) / 2.0
-        sends = len(topology.directed_edges()) * horizon / gap
+        sends = edges * horizon / gap
     segments = horizon / config.drift_dwell if config.drift_mode == "piecewise_random" else 1.0
-    return sends + topology.node_count * math.ceil(segments)
+    work = sends + nodes * math.ceil(segments)
+    if work <= WORKLOAD_CAP:
+        return []
+    return [
+        f"workload of about {work:.3g} sends and drift segments over "
+        f"horizon {horizon!r} exceeds the cap of {WORKLOAD_CAP:,}: "
+        "shorten the horizon or lengthen max_gap or drift.dwell"
+    ]
 
 
 @dataclass(frozen=True)
@@ -660,7 +690,7 @@ def _hardware_times(table: ClockTable, times: np.ndarray, nodes: np.ndarray) -> 
 def _rebase_history(
     n, initiators, times, dsts, h_dsts, payloads, started, process_on_start, values, factors
 ):
-    """Per-node histories and per-event jumps from the loop's rebase points.
+    """The run's History and per-event jumps from the loop's rebase points.
 
     values and factors are lists of float64 blocks that, joined, hold one
     entry per rebase point in processing order: one start per initiator,
@@ -708,17 +738,13 @@ def _rebase_history(
     jump += value[:-1]
     np.subtract(value[1:], jump, out=jump)
     reception = np.ones(event.size, dtype=bool)
-    reception[bounds[:-1][bounds[:-1] < bounds[1:]]] = False
+    reception[_end_rows(bounds)[0]] = False
     event = event[reception]
     jump = jump[reception[1:]]
     jumps = np.zeros(times.size)
     jumps[event] = jump
 
-    history = tuple(
-        NodeHistory(time[lo:hi], value[lo:hi], factor[lo:hi], hardware[lo:hi])
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
-    )
-    return history, jumps
+    return History(time, value, factor, hardware, bounds), jumps
 
 
 def run(config: RunConfig) -> Trace:

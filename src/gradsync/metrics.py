@@ -1,14 +1,16 @@
 """Skew measurement and bound verdicts over recorded traces.
 
-A Trace holds each node's rebase history and hardware clock, which
-determine its logical clock exactly, and a sample grid of every instant
-where anything can change: event times, drift breakpoints, run start, and
-the horizon. Between consecutive samples every logical clock is linear in
-real time, so skew maxima over the whole run are attained at sample points
-and the reported statistics are exact, not approximations. The report and
-the CSV writer evaluate logical values on the grid from the history block
-by block, so neither holds a nodes x samples array, and read the hardware
-clocks from one clocks.ClockTable.
+A Trace holds every node's rebase history, as the four columns of one
+History, and hardware clock, which determine its logical clock exactly,
+and a sample grid of every instant where anything can change: event
+times, drift breakpoints, run start, and the horizon. Between consecutive
+samples every logical clock is linear in real time, so skew maxima over
+the whole run are attained at sample points and the reported statistics
+are exact, not approximations. The report and the CSV writer evaluate
+logical values on the grid from the history block by block, so neither
+holds a nodes x samples array, and read the hardware clocks from one
+clocks.ClockTable. The minimum rate and the reduced-rate episodes are
+each one pass over the history's columns.
 
 The pair maxima (per edge, and per hop distance) are not taken over every
 pair at every sample. Per sub-block of samples each node's clock, less the
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -41,6 +43,7 @@ __all__ = [
     "TraceEvent",
     "EventLog",
     "NodeHistory",
+    "History",
     "SkewReport",
     "BoundVerdict",
     "GlobalSkew",
@@ -132,6 +135,61 @@ class NodeHistory:
     hardware: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class History:
+    """Every node's rebase points as four float64 columns, 32 B per point.
+    Node i's points are rows bounds[i]:bounds[i + 1], in processing order,
+    so their times are non-decreasing.
+
+    As a sequence it holds one NodeHistory per node, each a view of its
+    node's rows; a slice of it is a tuple of them.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    factors: np.ndarray
+    hardware: np.ndarray
+    bounds: np.ndarray
+
+    @classmethod
+    def of(cls, nodes) -> "History":
+        """nodes as a History: itself if it is one, else its NodeHistory
+        records joined in order."""
+        if isinstance(nodes, History):
+            return nodes
+        nodes = tuple(nodes)
+        sizes = [node.times.size for node in nodes]
+        columns = (
+            np.concatenate([getattr(node, name) for node in nodes])
+            for name in ("times", "values", "factors", "hardware")
+        )
+        return cls(*columns, np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))))
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        i = range(len(self))[index]  # IndexError past either end
+        return self._node(*self.bounds[i : i + 2].tolist())
+
+    def __iter__(self):
+        bounds = self.bounds.tolist()
+        return map(self._node, bounds[:-1], bounds[1:])
+
+    def _node(self, lo: int, hi: int) -> NodeHistory:
+        return NodeHistory(
+            self.times[lo:hi], self.values[lo:hi], self.factors[lo:hi], self.hardware[lo:hi]
+        )
+
+
+def _end_rows(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last row of every node that has rows."""
+    started = bounds[:-1] < bounds[1:]
+    return bounds[:-1][started], bounds[1:][started] - 1
+
+
 @dataclass(frozen=True)
 class Trace:
     """Full record of one run.
@@ -141,6 +199,8 @@ class Trace:
     one column per sample from them, NaN before the node started; the
     clocks are read from clock_table, their clocks.clock_table. Likewise
     the events' toggle column is the only form of the slowdown decisions.
+    history is a History; a sequence of NodeHistory given in its place is
+    joined into one.
     """
 
     config: "RunConfig"
@@ -152,7 +212,10 @@ class Trace:
     events: EventLog
     clocks: tuple[HardwareClock, ...]
     clock_table: ClockTable
-    history: tuple[NodeHistory, ...]
+    history: History
+
+    def __post_init__(self):
+        object.__setattr__(self, "history", History.of(self.history))
 
     @property
     def node_count(self) -> int:
@@ -161,7 +224,11 @@ class Trace:
     @property
     def start_times(self) -> np.ndarray:
         """Each node's first rebase time, inf where it never started."""
-        return np.array([h.times[0] if h.times.size else np.inf for h in self.history])
+        bounds = self.history.bounds
+        starts = np.full(bounds.size - 1, np.inf)
+        started = bounds[:-1] < bounds[1:]
+        starts[started] = self.history.times[bounds[:-1][started]]
+        return starts
 
     @property
     def reduced_intervals(self) -> dict:
@@ -294,20 +361,33 @@ class BoundVerdict:
 class ReducedRateStats:
     """Durations of reduced-rate episodes.
 
-    per_node holds, for each node that ever slowed down, the maximal runs
-    of its rate factor below 1 as (begin, end) times: from the rebase point
-    where the factor drops to the next one at full rate, or to the horizon,
-    with runs that touch joined. durations lists their lengths, node by
-    node and in time order. A node's factor is below 1 exactly while it
-    holds some neighbor reduced, so each run is also the union of its
+    An episode is a maximal run of a node's rate factor below 1: from the
+    rebase point where the factor drops to the next one at full rate, or
+    to the horizon, with runs that touch joined. nodes, begins and ends
+    hold every episode as columns, node by node and in time order, and
+    durations their lengths. A node's factor is below 1 exactly while it
+    holds some neighbor reduced, so each episode is also the union of its
     Trace.reduced_intervals.
     """
 
-    per_node: dict
     durations: tuple[float, ...]
     count: int
     total: float
     longest: float
+    nodes: np.ndarray = field(repr=False, compare=False)
+    begins: np.ndarray = field(repr=False, compare=False)
+    ends: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def per_node(self) -> dict:
+        """For each node that ever slowed down, its episodes as (begin,
+        end) times; built on every read."""
+        per_node: dict[int, list[tuple[float, float]]] = {}
+        for node, begin, end in zip(
+            self.nodes.tolist(), self.begins.tolist(), self.ends.tolist()
+        ):
+            per_node.setdefault(node, []).append((begin, end))
+        return {node: tuple(runs) for node, runs in per_node.items()}
 
 
 @dataclass(frozen=True)
@@ -478,13 +558,17 @@ def _fold_pairs(best, slot, first, second, sub, low, high) -> None:
     offset = sub - low
     up = np.fmax.reduce(offset, axis=1)
     lo = np.fmin.reduce(offset, axis=1)
+    del offset  # each temporary is freed or reused before the next is made
     scale = np.fmax.reduce(np.fmax(np.abs(low), np.abs(high)))
     bound = np.maximum(up[first] - lo[second], up[second] - lo[first])
     bound += _SLACK_EPS * _EPS * scale
     pending = np.flatnonzero(bound > best[slot])
+    del bound
     for start in range(0, pending.size, sub.shape[0]):
         pairs = pending[start : start + sub.shape[0]]
-        skews = np.abs(sub[first[pairs]] - sub[second[pairs]])
+        skews = sub[first[pairs]]
+        skews -= sub[second[pairs]]
+        np.abs(skews, out=skews)
         np.fmax.at(best, slot[pairs], np.fmax.reduce(skews, axis=1))
 
 
@@ -502,44 +586,94 @@ def rate_floor(trace: Trace) -> float:
     """Minimum instantaneous logical rate observed on any inter-sample
     interval of a started node.
 
-    A node's rate changes only at its rebase times and drift breakpoints,
-    and each of those in [start, horizon) is a sample, so the minimum over
-    those points, read from sample_history on its row of the clock table,
-    is the minimum over every sample before the horizon.
+    A node's rate is its factor times the clock table's rate 1 + drift,
+    each of the piece in effect from that time on, and changes only at its
+    rebase points and drift breakpoints, each of them a sample. So the
+    minimum over every sample before the horizon is the minimum over two
+    sets of candidates before it, found in one pass over the history's
+    columns:
+    - every rebase point, except one followed by another of its node at
+      the same time, whose factor held over no interval;
+    - every breakpoint at or after a node's start, with the factor of the
+      point in effect there: each point covers the breakpoints from its
+      time up to its node's next point, counted in integers by searching
+      the point times among the breaks.
     """
-    lowest = math.inf
-    breaks, origins, rates, horizon = trace.clock_table
-    for i, hist in enumerate(trace.history):
-        if hist.times.size == 0:
-            continue
-        points = np.sort(np.concatenate([hist.times, breaks[breaks >= hist.times[0]]]))
-        points = points[points < trace.horizon]
-        if points.size:
-            row = ClockTable(breaks, origins[i : i + 1], rates[i : i + 1], horizon)
-            lowest = min(lowest, float(sample_history((hist,), row, points)[2].min()))
-    return lowest if lowest < math.inf else float("nan")
+    history, (breaks, _, rates, _) = trace.history, trace.clock_table
+    times, factors, bounds = history.times, history.factors, history.bounds
+    width = breaks.size
+    _, last = _end_rows(bounds)
+    # the rebase points: their node's row, then their segment, of rates
+    at = np.repeat(np.arange(0, rates.size, width), np.diff(bounds))
+    at += breaks.searchsorted(times, side="right")
+    at -= 1
+    rate = rates.ravel()[at]
+    del at
+    rate *= factors
+    held = times < trace.horizon
+    held[:-1] &= times[1:] != times[:-1]
+    held[last] = times[last] < trace.horizon
+    lowest = rate.min(where=held, initial=np.inf)
+    del rate, held
+
+    # the breakpoints: those in [times[r], the time of its node's next
+    # point) are breaks[first[r]:first[r + 1]], all from first[r] on at a
+    # node's last point
+    first = breaks.searchsorted(times, side="left")
+    count = np.empty_like(first)
+    count[:-1] = first[1:]
+    count[last] = width
+    count -= first
+    row = np.flatnonzero(count)
+    count, first = count[row], first[row]
+    node = bounds.searchsorted(row, side="right") - 1
+    # pair p covers break first + j of its row, j = p less its row's offset
+    offset = np.cumsum(count) - count
+    segment = np.arange(int(count.sum())) + np.repeat(first - offset, count)
+    candidates = factors[np.repeat(row, count)]
+    candidates *= rates[np.repeat(node, count), segment]
+    lowest = min(lowest, candidates.min(initial=np.inf))
+    return float(lowest) if lowest < math.inf else float("nan")
 
 
 def reduced_rate_stats(trace: Trace) -> ReducedRateStats:
-    per_node, durations = {}, []
-    for node, hist in enumerate(trace.history):
-        # +1 where a run of reduced factors begins, -1 just past its end
-        steps = np.diff((hist.factors < 1.0).astype(np.int8), prepend=0, append=0)
-        if not steps.any():
-            continue
-        lo = hist.times[steps[:-1] == 1]
-        hi = np.append(hist.times, trace.horizon)[steps == -1]
-        # a run that begins where the previous one ended continues it
-        apart = lo[1:] > hi[:-1]
-        lo, hi = lo[np.r_[True, apart]], hi[np.r_[apart, True]]
-        per_node[node] = tuple(zip(lo.tolist(), hi.tolist()))
-        durations.extend((hi - lo).tolist())
+    """The reduced-rate episodes of every node, in one pass over the
+    history's columns: the runs of rows with factor < 1, cut at the node
+    bounds, each from its first row's time to its next row's, or to the
+    horizon at its node's last row; runs of one node that touch are
+    joined."""
+    history = trace.history
+    times, bounds = history.times, history.bounds
+    first, last = _end_rows(bounds)
+    reduced = history.factors < 1.0
+    begins = reduced.copy()  # reduced, and not after a reduced row of its node
+    begins[1:] &= ~reduced[:-1]
+    begins[first] = reduced[first]
+    closes = reduced.copy()  # reduced, and not before a reduced row of its node
+    closes[:-1] &= ~reduced[1:]
+    closes[last] = reduced[last]
+    del reduced
+    begin, close = np.flatnonzero(begins), np.flatnonzero(closes)
+    del begins, closes
+    nodes = bounds.searchsorted(begin, side="right") - 1
+    lo = times[begin]
+    hi = times[np.minimum(close + 1, times.size - 1)]
+    hi[close + 1 == bounds[nodes + 1]] = trace.horizon
+    # a run that begins where its node's previous one ended continues it:
+    # run j opens an episode where apart[j] holds, and closes one where
+    # apart[j + 1] does
+    apart = np.ones(lo.size + 1, dtype=bool)
+    apart[1:-1] = (lo[1:] > hi[:-1]) | (nodes[1:] != nodes[:-1])
+    lo, nodes, hi = lo[apart[:-1]], nodes[apart[:-1]], hi[apart[1:]]
+    durations = (hi - lo).tolist()
     return ReducedRateStats(
-        per_node=per_node,
         durations=tuple(durations),
         count=len(durations),
         total=float(sum(durations)),
         longest=float(max(durations)) if durations else 0.0,
+        nodes=nodes,
+        begins=lo,
+        ends=hi,
     )
 
 

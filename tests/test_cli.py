@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from gradsync import engine
 from gradsync.cli import main
-from gradsync.engine import build_wait_chain_scenario, config_to_dict, run
+from gradsync.engine import build_wait_chain_scenario, config_to_dict, run, validate_config
 from gradsync.presets import preset
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -647,6 +648,29 @@ class TestSweep:
             capsys.readouterr().err
         )
         assert not out.exists()
+
+    def test_workload_over_the_cap_refused_before_any_point_runs(self, tmp_path, capsys):
+        # D = 2000 passes the node-pair cap, but its sends exceed the workload cap
+        path = self.sweep_spec(tmp_path, values=[4, 2000], variants=["gradient"])
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "violation: point diameter=2000 variant=gradient: workload of about 1.6e+07 "
+            "sends and drift segments over horizon 4004.0 exceeds the cap of 10,000,000: "
+            "shorten the horizon or lengthen max_gap or drift.dwell\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("diameter", [1580, 1581])
+    def test_wait_chain_workload_estimate_matches_the_run(self, diameter):
+        config = build_wait_chain_scenario(diameter, 0.1, 1.0, 1.0)
+        estimate = engine._workload_violations(
+            config, 2 * diameter, diameter + 1, config.horizon
+        )
+        assert estimate == validate_config(config)
+        assert bool(estimate) == (diameter == 1581)
 
     def test_invalid_point_aborts_before_running(self, tmp_path):
         path = self.sweep_spec(tmp_path, values=[4, -2])

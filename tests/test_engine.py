@@ -203,6 +203,37 @@ class TestGenerateSchedule:
             assert f"edge {edge}: send time 0.0 is not after the run start" in found
         assert "edge 0->1: send time 4.5 is past horizon 4.0" in found
 
+    @pytest.mark.parametrize(
+        "horizon, sends",
+        [
+            # only the tail is too long; an empty edge within max_gap of the
+            # horizon is fine
+            (4.0, {(0, 1): (1.0, 2.0, 2.5), (1, 0): (1.0, 2.0, 3.0, 4.0)}),
+            (0.75, {(0, 1): (), (1, 0): (0.5,)}),
+            # infinities, a NaN first, a negative zero first, the horizon exactly
+            (4.0, {(0, 1): (1.0, math.inf), (1, 0): (-math.inf, 1.0, 2.0, 3.0)}),
+            (4.0, {(0, 1): (math.nan, 1.0, 2.0, 3.0), (1, 0): (-0.0, 1.0, 2.0, 3.0, 4.0)}),
+            (4.0, {(0, 1): (1.0, 2.0, 3.0, 4.0), (1, 0): (0.25, 1.25, 2.25, 3.25, 4.0)}),
+        ],
+    )
+    def test_faults_found_in_one_pass_match_the_walk(self, horizon, sends):
+        schedule = engine.CommSchedule(max_gap=1.0, horizon=horizon, sends=sends)
+        assert schedule.violations() == self.walk_every_edge(schedule)
+
+    def test_only_faulty_edges_are_walked(self, monkeypatch):
+        walked = []
+        walk = engine.CommSchedule._faults
+        monkeypatch.setattr(
+            engine.CommSchedule, "_faults", lambda self, times: walked.append(times) or walk(self, times)
+        )
+        sched = generate_schedule(ring(6), 1.0, "random_uniform", seed=3, horizon=20.0)
+        assert sched.violations() == [] and walked == []
+        broken = dict(sched.sends)
+        broken[(0, 1)] = broken[(0, 1)][:-1] + (25.0,)
+        faulty = engine.CommSchedule(max_gap=1.0, horizon=20.0, sends=broken)
+        assert faulty.violations() == self.walk_every_edge(faulty)
+        assert walked == [broken[(0, 1)]]
+
     def test_periodic_schedule_checked_once_per_tuple(self, monkeypatch):
         sched = generate_schedule(ring(6), 1.0, "periodic", seed=0, horizon=7.0)
         assert len({id(times) for times in sched.sends.values()}) == 1

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -14,8 +15,10 @@ from gradsync.engine import (
     run,
 )
 from gradsync import metrics
+from gradsync.clocks import ClockTable, DriftSchedule, HardwareClock, clock_table
 from gradsync.metrics import (
     GlobalSkew,
+    NodeHistory,
     SkewReport,
     Trace,
     bound_checks,
@@ -30,6 +33,7 @@ from gradsync.metrics import (
 )
 from gradsync.presets import PRESETS, preset
 from gradsync.topology import chain
+from test_engine import LOOP_CONFIGS, NO_EVENTS
 
 
 def symmetric_run():
@@ -217,6 +221,160 @@ class TestReducedRateStats:
         assert stats.longest == max(durations)
 
 
+def looped_rate_floor(trace):
+    """rate_floor one node at a time: each started node's rebase times and
+    the drift breakpoints at or after its start, before the horizon,
+    evaluated by sample_history on its row of the clock table."""
+    lowest = math.inf
+    breaks, origins, rates, horizon = trace.clock_table
+    for i, hist in enumerate(trace.history):
+        if hist.times.size == 0:
+            continue
+        points = np.sort(np.concatenate([hist.times, breaks[breaks >= hist.times[0]]]))
+        points = points[points < trace.horizon]
+        if points.size:
+            row = ClockTable(breaks, origins[i : i + 1], rates[i : i + 1], horizon)
+            lowest = min(lowest, float(metrics.sample_history((hist,), row, points)[2].min()))
+    return lowest if lowest < math.inf else float("nan")
+
+
+def looped_reduced_rate_stats(trace):
+    """reduced_rate_stats one node at a time, as (per_node, durations)."""
+    per_node, durations = {}, []
+    for node, hist in enumerate(trace.history):
+        # +1 where a run of reduced factors begins, -1 just past its end
+        steps = np.diff((hist.factors < 1.0).astype(np.int8), prepend=0, append=0)
+        if not steps.any():
+            continue
+        lo = hist.times[steps[:-1] == 1]
+        hi = np.append(hist.times, trace.horizon)[steps == -1]
+        # a run that begins where the previous one ended continues it
+        apart = lo[1:] > hi[:-1]
+        lo, hi = lo[np.r_[True, apart]], hi[np.r_[apart, True]]
+        per_node[node] = tuple(zip(lo.tolist(), hi.tolist()))
+        durations.extend((hi - lo).tolist())
+    return per_node, tuple(durations)
+
+
+def hand_made_trace():
+    """A four-node trace with a hand-made history on a hand-made clock table
+    with breaks at 0, 1, 2 and 3 and horizon 4:
+    - node 0 has two rows at 1.5 of which the earlier is reduced, at 0.25,
+      the lowest factor anywhere; and at 3.0 a full-rate row followed by a
+      reduced one, so its episodes from 2.5 to 3.0 and from 3.0 on touch;
+    - node 1 rebases exactly at the breakpoint 2.0, where its drift drops
+      to -0.5, from factor 0.8 to 1.0, and is reduced from 3.5 on;
+    - node 2 never starts;
+    - node 3 starts at 3.5 reduced, so its episode is still open at the
+      horizon, like node 1's, and its rows follow node 1's in the columns.
+    The floor is 0.5; 0.25 if the superseded row counted, 0.4 if the
+    breakpoint 2.0 took node 1's factor from the row before it.
+    """
+    base = run(
+        RunConfig(
+            topology=TopologySpec(kind="chain", n=4),
+            drift_bound=0.6,
+            max_gap=1.0,
+            skew_threshold=1.0,
+            horizon=4.0,
+        )
+    )
+    drifts = ((0.0,) * 4, (0.0, 0.0, -0.5, 0.0), (0.0,) * 4, (0.0,) * 4)
+    clocks = tuple(
+        HardwareClock(DriftSchedule(0.6, (0.0, 1.0, 2.0, 3.0), drift, 4.0)) for drift in drifts
+    )
+    rows = (
+        ((0.0, 1.5, 1.5, 2.5, 3.0, 3.0, 3.25), (1.0, 0.25, 1.0, 0.5, 1.0, 0.5, 1.0)),
+        ((0.5, 2.0, 3.5), (0.8, 1.0, 0.6)),
+        ((), ()),
+        ((3.5,), (0.75,)),
+    )
+    history = tuple(
+        NodeHistory(np.array(t, dtype=float), np.array(t, dtype=float),
+                    np.array(f, dtype=float), np.array(t, dtype=float))
+        for t, f in rows
+    )
+    return replace(base, clocks=clocks, clock_table=clock_table(clocks), history=history)
+
+
+ONE_PASS_CONFIGS = {
+    **{f"loop_{name}": config for name, config in LOOP_CONFIGS.items()},
+    **{f"preset_{name}": preset(name) for name in sorted(PRESETS)},
+    "no_events": NO_EVENTS,
+}
+
+
+class TestOnePassReductions:
+    """rate_floor and reduced_rate_stats equal their per-node loops."""
+
+    @staticmethod
+    def assert_match(trace):
+        lowest, wanted = rate_floor(trace), looped_rate_floor(trace)
+        assert lowest == wanted or (math.isnan(lowest) and math.isnan(wanted))
+        stats = reduced_rate_stats(trace)
+        per_node, durations = looped_reduced_rate_stats(trace)
+        assert stats.per_node == per_node
+        assert stats.durations == durations
+        assert stats.count == len(durations)
+        assert stats.total == float(sum(durations))
+        assert stats.longest == (max(durations) if durations else 0.0)
+        return lowest, stats
+
+    @pytest.mark.parametrize("name", sorted(ONE_PASS_CONFIGS))
+    def test_runs(self, name):
+        self.assert_match(run(ONE_PASS_CONFIGS[name]))
+
+    def test_hand_made_history(self):
+        lowest, stats = self.assert_match(hand_made_trace())
+        assert lowest == 0.5
+        assert stats.per_node == {
+            0: ((1.5, 1.5), (2.5, 3.25)),
+            1: ((0.5, 2.0), (3.5, 4.0)),
+            3: ((3.5, 4.0),),
+        }
+
+    def test_no_started_node_has_no_floor(self):
+        trace = hand_made_trace()
+        empty = NodeHistory(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
+        trace = replace(trace, history=(empty,) * 4)
+        assert math.isnan(rate_floor(trace)) and math.isnan(looped_rate_floor(trace))
+        assert reduced_rate_stats(trace).durations == ()
+
+
+class TestHistory:
+    def test_nodes_are_views_of_the_columns(self):
+        trace = run(preset("startup_chain"))
+        history = trace.history
+        assert isinstance(history, metrics.History)
+        bounds = history.bounds.tolist()
+        assert len(history) == trace.node_count == len(bounds) - 1
+        nodes = list(history)
+        assert len(nodes) == len(history)
+        for i, node in enumerate(nodes):
+            for name in ("times", "values", "factors", "hardware"):
+                column = getattr(history, name)
+                assert column.dtype == np.float64
+                got = getattr(node, name)
+                assert np.shares_memory(got, column) or got.size == 0
+                assert np.array_equal(got, column[bounds[i] : bounds[i + 1]])
+                assert np.array_equal(getattr(history[i], name), got)
+        assert history[-1].times.tolist() == nodes[-1].times.tolist()
+        assert [node.times.tolist() for node in history[1:3]] == [
+            node.times.tolist() for node in nodes[1:3]
+        ]
+        with pytest.raises(IndexError):
+            history[len(history)]
+
+    def test_a_sequence_of_nodes_is_joined(self):
+        trace = run(preset("startup_chain"))
+        rebuilt = replace(trace, history=tuple(trace.history)).history
+        assert isinstance(rebuilt, metrics.History)
+        for name in ("times", "values", "factors", "hardware", "bounds"):
+            np.testing.assert_array_equal(
+                getattr(rebuilt, name), getattr(trace.history, name), strict=True
+            )
+
+
 class TestBoundChecks:
     def fake_report(self, **kw):
         base = dict(
@@ -349,6 +507,27 @@ def test_run_peaks_little_per_event(variant):
         finally:
             tracemalloc.stop()
         assert peak < bound * len(trace.events), diameter
+
+
+@pytest.mark.parametrize("variant", ["gradient", "no_slowdown"])
+def test_report_peaks_little_above_the_run_per_event(variant):
+    # compute_report on the D = 128 wait chain peaks 17.3 B per event above
+    # what the run holds, under either variant; the bound is about 1.21
+    # times that. While the pair pass kept each sub-block's offsets and
+    # pair bounds alive through its exact evaluations, and those made
+    # three temporaries where one does, it peaked at 26.2 B.
+    config = build_wait_chain_scenario(128, 0.1, 1.0, 1.0, variant=variant)
+    compute_report(run(config))  # leave one-time allocations out of the count
+    tracemalloc.start()
+    try:
+        trace = run(config)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        compute_report(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 21 * len(trace.events)
 
 
 def test_dense_sampling_agrees_with_breakpoint_sampling():
