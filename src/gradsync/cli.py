@@ -16,6 +16,7 @@ from .engine import (
     ConfigError,
     RunConfig,
     _config_violations,
+    _horizon,
     _workload_violations,
     as_integer,
     as_number,
@@ -29,6 +30,7 @@ from .engine import (
 from .metrics import compute_report, summary_json_text, trace_csv_text
 from .oracle import compare, oracle_run
 from .presets import PRESETS, preset
+from .topology import TopologyError
 
 __all__ = ["main"]
 
@@ -139,8 +141,8 @@ def _sweep_point(base, parameter: str, value, variant: str) -> RunConfig:
 def _sweep_points(base, parameter: str, values: list, variants: list) -> list:
     """(value, variant, config) of every point, values outer and variants
     inner; raises ConfigError naming every problem, a repeated point or a
-    point's config violation too, and a wait chain's workload over the cap.
-    Each value is read once, by its reader."""
+    point's config violation too, and a workload over the cap. Each value
+    is read once, by its reader."""
     problems: list[str] = []
     if parameter == "diameter" and not is_wait_chain(base):
         problems.append("sweeping diameter requires a wait-chain base")
@@ -152,6 +154,12 @@ def _sweep_points(base, parameter: str, values: list, variants: list) -> list:
                 f"sweeping diameter requires the default horizon {horizon}, got {base.horizon}"
             )
     buildable = not problems
+    topology = None  # the base's, where every point shares it
+    if parameter in ("skew_threshold", "drift_bound", "max_gap"):
+        try:
+            topology = base.topology.build(default_seed=max(base.seed, 0))
+        except TopologyError:
+            pass  # the first point's run names it, before any other runs
     read = as_integer if parameter in ("diameter", "seed") else as_number
     points, seen = [], set()
     for value in values:
@@ -171,6 +179,11 @@ def _sweep_points(base, parameter: str, values: list, variants: list) -> list:
                 if parameter == "diameter" and not found:
                     # the wait chain of diameter D has D + 1 nodes and 2 D directed edges
                     found = _workload_violations(config, 2 * number, number + 1, config.horizon)
+                elif topology is not None and not found:
+                    found = _workload_violations(
+                        config, len(topology.directed_edges()), topology.node_count,
+                        _horizon(config, topology),
+                    )
                 for problem in found:
                     problems.append(f"point {parameter}={value} variant={variant}: {problem}")
                 points.append((value, variant, config))

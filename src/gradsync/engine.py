@@ -19,7 +19,7 @@ Two runs with the same RunConfig produce bit-identical traces.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import chain
 
 import numpy as np
@@ -171,47 +171,57 @@ class RunConfig:
     label: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommSchedule:
-    """Per-directed-edge send times within [0, horizon].
+    """Send times within [0, horizon] on every directed edge, as columns.
 
-    On every edge the first send is at most max_gap after 0 and every
-    consecutive gap is positive and at most max_gap, both as exact float
-    comparisons.
+    src, dst and counts give each directed edge, in sorted order, and its
+    number of sends; times holds every send, edge by edge in send order, so
+    edge k's sends are times[ends[k] - counts[k]:ends[k]]. On every edge the
+    first send is at most max_gap after 0 and every consecutive gap is
+    positive and at most max_gap, both as exact float comparisons.
     """
 
     max_gap: float
     horizon: float
-    sends: dict = field(default_factory=dict)
+    src: np.ndarray
+    dst: np.ndarray
+    counts: np.ndarray
+    times: np.ndarray
+
+    @classmethod
+    def from_sends(cls, max_gap: float, horizon: float, sends: dict) -> "CommSchedule":
+        """The schedule of a {(src, dst): send times} mapping."""
+        edges = sorted(sends.items())
+        counts = np.array([len(times) for _, times in edges], dtype=np.int64)
+        times = np.fromiter(
+            chain.from_iterable(times for _, times in edges), dtype=float, count=int(counts.sum())
+        )
+        # int32 ids: the node-pair cap keeps n far below 2**31
+        src = np.array([s for (s, _), _ in edges], dtype=np.int32)
+        dst = np.array([d for (_, d), _ in edges], dtype=np.int32)
+        return cls(max_gap, horizon, src, dst, counts, times)
+
+    @property
+    def sends(self) -> dict:
+        """A {(src, dst): tuple of send times} copy of the columns."""
+        ends = np.cumsum(self.counts).tolist()
+        return {
+            (s, d): tuple(self.times[end - count:end].tolist())
+            for s, d, count, end in zip(
+                self.src.tolist(), self.dst.tolist(), self.counts.tolist(), ends
+            )
+        }
 
     def violations(self) -> list[str]:
         """Every breach of the gap bound and the horizon, edge by edge.
 
-        A periodic schedule shares one tuple among all edges, so each
-        distinct tuple is checked once and its faults named on every edge.
-        One vector pass over the distinct tuples finds the faulty ones, and
+        One vector pass over the send column finds the faulty edges, and
         only those are walked, to word their faults.
         """
-        # keyed by identity: hashing a tuple walks it, and self.sends keeps
-        # every tuple alive, so no id is reused during the call
-        distinct = {id(times): times for times in self.sends.values()}
-        faults = {
-            key: self._faults(times) if faulty else []
-            for (key, times), faulty in zip(distinct.items(), self._faulty(distinct.values()))
-        }
-        found = []
-        for (src, dst), times in sorted(self.sends.items()):
-            for fault in faults[id(times)]:
-                found.append(f"edge {src}->{dst}: {fault}")
-        return found
-
-    def _faulty(self, tuples) -> list[bool]:
-        """Whether _faults finds anything in each tuple, from the same float
-        comparisons made on all the tuples' send times at once."""
-        counts = np.array([len(times) for times in tuples], dtype=np.intp)
+        counts, times = self.counts, self.times
         ends = np.cumsum(counts)
         starts = ends - counts
-        times = np.fromiter(chain.from_iterable(tuples), dtype=float, count=int(counts.sum()))
         sent = counts > 0
         # each send's gap, the first against the run start: t - 0.0 is t
         gap = np.empty_like(times)
@@ -224,7 +234,12 @@ class CommSchedule:
         last = np.zeros(counts.size)
         last[sent] = times[ends[sent] - 1]
         late = self.horizon - last > self.max_gap
-        return ((bad[ends] > bad[starts]) | late).tolist()
+        found = []
+        for k in np.flatnonzero((bad[ends] > bad[starts]) | late).tolist():
+            edge = f"edge {self.src[k]}->{self.dst[k]}"
+            for fault in self._faults(tuple(times[starts[k]:ends[k]].tolist())):
+                found.append(f"{edge}: {fault}")
+        return found
 
     def _faults(self, times: tuple) -> list[str]:
         """The faults of one edge's send times, each worded to follow its
@@ -261,16 +276,10 @@ class CommSchedule:
         and per-edge sequence. The sends are laid out edge by edge in send
         order and lexsort is stable, so the sequence needs no key of its own.
         """
-        edges = sorted(self.sends.items())
-        counts = np.array([len(times) for _, times in edges], dtype=np.int64)
-        times = np.fromiter(
-            chain.from_iterable(times for _, times in edges), dtype=float, count=int(counts.sum())
-        )
-        # int32 ids: the node-pair cap keeps n far below 2**31
-        src = np.repeat(np.array([s for (s, _), _ in edges], dtype=np.int32), counts)
-        dst = np.repeat(np.array([d for (_, d), _ in edges], dtype=np.int32), counts)
-        order = np.lexsort((dst, -src, times))
-        return times[order], src[order], dst[order]
+        src = np.repeat(self.src, self.counts)
+        dst = np.repeat(self.dst, self.counts)
+        order = np.lexsort((dst, -src, self.times))
+        return self.times[order], src[order], dst[order]
 
 
 _GAP_CHUNK = 4096
@@ -284,17 +293,19 @@ def _capped_step(t: float, gap: float, cap: float) -> float:
     return nxt
 
 
-def _uniform_sends(edges, seed: int, max_gap: float, low: float, horizon: float) -> dict:
-    """Send times per edge with gaps max_gap - u, u uniform on
-    [0, max_gap - low), each step taken by _capped_step.
+def _uniform_sends(edges, seed: int, max_gap: float, low: float, horizon: float):
+    """(counts, times) of the sends on each edge, in order, with gaps
+    max_gap - u, u uniform on [0, max_gap - low), each step taken by
+    _capped_step.
 
     Each edge has its own generator and draws its gaps a chunk at a time: a
     vector draw yields the same values as that many scalar draws. A chunk
     covers the horizon at the mean gap, with a margin, up to _GAP_CHUNK
-    draws; draws past the horizon are discarded.
+    draws; draws past the horizon are discarded. Each edge's steps become a
+    float64 array as soon as the edge is done.
     """
     chunk = min(int(2.0 * horizon / (max_gap + low)) + 16, _GAP_CHUNK)
-    sends = {}
+    blocks = []
     for src, dst in edges:
         rng = np.random.default_rng((seed, 0x5C4ED, src, dst))
         times = []
@@ -305,8 +316,8 @@ def _uniform_sends(edges, seed: int, max_gap: float, low: float, horizon: float)
                 if t > horizon:
                     break
                 times.append(t)
-        sends[(src, dst)] = tuple(times)
-    return sends
+        blocks.append(np.array(times, dtype=float))
+    return np.array([block.size for block in blocks], dtype=np.int64), np.concatenate(blocks)
 
 
 def generate_schedule(
@@ -329,44 +340,45 @@ def generate_schedule(
         raise ConfigError([f"max_gap must be positive and finite, got {max_gap}"])
     if not math.isfinite(horizon):
         raise ConfigError([f"horizon must be finite, got {horizon}"])
-    sends = {}
+    edges = topology.directed_edges()
+    # int32 ids: the node-pair cap keeps n far below 2**31
+    src, dst = np.array(edges, dtype=np.int32).reshape(-1, 2).T.copy()
     if mode == "periodic":
-        times = []
+        row = []
         k = 1
         prev = 0.0
         while True:
             t = _capped_step(prev, (k * max_gap) - prev, max_gap)
             if t > horizon:
                 break
-            times.append(t)
+            row.append(t)
             prev = t
             k += 1
-        shared = tuple(times)
-        for edge in topology.directed_edges():
-            sends[edge] = shared
+        counts = np.full(len(edges), len(row), dtype=np.int64)
+        times = np.tile(np.array(row, dtype=float), len(edges))
+        schedule = CommSchedule(max_gap, horizon, src, dst, counts, times)
     elif mode == "random_uniform":
         low = max_gap / 4.0 if gap_min is None else gap_min
         if not 0.0 <= low < max_gap:
             raise ConfigError(
                 [f"gap_min must lie in [0, max_gap), got {low} with max_gap {max_gap}"]
             )
-        sends = _uniform_sends(topology.directed_edges(), seed, max_gap, low, horizon)
+        counts, times = _uniform_sends(edges, seed, max_gap, low, horizon)
+        schedule = CommSchedule(max_gap, horizon, src, dst, counts, times)
     elif mode == "scripted":
         if scripted is None:
             raise ConfigError(["scripted schedule mode needs explicit send times"])
-        known = set(topology.directed_edges())
-        for edge, times in sorted(scripted.items()):
-            if tuple(edge) not in known:
+        sends = dict.fromkeys(edges, ())
+        for edge in sorted(scripted):
+            if tuple(edge) not in sends:
                 raise ConfigError(
                     [f"scripted edge {edge[0]}->{edge[1]} is not in the topology"]
                 )
-            sends[tuple(edge)] = tuple(float(t) for t in times)
-        for edge in topology.directed_edges():
-            sends.setdefault(edge, ())
+            sends[tuple(edge)] = scripted[edge]
+        schedule = CommSchedule.from_sends(max_gap, horizon, sends)
     else:
         raise ConfigError([f"unknown schedule mode {mode!r}"])
 
-    schedule = CommSchedule(max_gap=max_gap, horizon=horizon, sends=sends)
     problems = schedule.violations()
     if problems:
         raise ConfigError(problems)
@@ -528,9 +540,7 @@ def _validate(config: RunConfig):
         v.append(str(exc))
     if topology is not None:
         n = topology.node_count
-        horizon = config.horizon
-        if horizon is None:
-            horizon = 4.0 * topology.diameter * config.max_gap
+        horizon = _horizon(config, topology)
         if not config.initiators:
             v.append("initiators must be nonempty")
         else:
@@ -571,6 +581,13 @@ def _validate(config: RunConfig):
                 config, len(topology.directed_edges()), topology.node_count, horizon
             ))
     return v, topology, horizon
+
+
+def _horizon(config: RunConfig, topology: "topo_mod.Topology") -> float:
+    """The config's horizon, by default 4 * diameter * max_gap on topology."""
+    if config.horizon is None:
+        return 4.0 * topology.diameter * config.max_gap
+    return config.horizon
 
 
 def _workload_violations(
@@ -657,13 +674,19 @@ def sample_grid(event_times, table: ClockTable) -> np.ndarray:
     samples every logical clock is linear in real time.
 
     An event time equal to the one before it is dropped before the sort,
-    so in processing order only the distinct times are sorted."""
+    so in processing order only the distinct times are sorted. The sort and
+    the pass that keeps each time unequal to the one before it are what
+    np.unique does, without its import of numpy.ma."""
     breaks, horizon = table.breaks, table.horizon
     inside = breaks[(breaks > 0.0) & (breaks < horizon)]
     times = np.asarray(event_times, dtype=float)
     distinct = np.ones(times.size, dtype=bool)
     np.not_equal(times[1:], times[:-1], out=distinct[1:])
-    return np.unique(np.concatenate(([0.0, horizon], times[distinct], inside)))
+    grid = np.concatenate(([0.0, horizon], times[distinct], inside))
+    grid.sort()
+    keep = np.ones(grid.size, dtype=bool)
+    np.not_equal(grid[1:], grid[:-1], out=keep[1:])
+    return grid[keep]
 
 
 def _hardware_times(table: ClockTable, times: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -756,8 +779,11 @@ def run(config: RunConfig) -> Trace:
     carries nothing and j is unaffected. Initiators start at t = 0.
     """
     setup = resolve(config)
-    topology, horizon, params = setup.topology, setup.horizon, setup.params
-    table = clock_table(setup.clocks)
+    topology, horizon, params, clocks = setup.topology, setup.horizon, setup.params, setup.clocks
+    diameter_bound = setup.diameter_bound
+    times, srcs, dsts = setup.schedule.events()
+    del setup  # and with it the schedule, before the loop
+    table = clock_table(clocks)
     n = topology.node_count
 
     states = [fresh_state(i, topology.neighbors(i)) for i in range(n)]
@@ -778,7 +804,6 @@ def run(config: RunConfig) -> Trace:
         add_value(state.l_base)
         add_factor(state.factor)
 
-    times, srcs, dsts = setup.schedule.events()
     payloads = np.full(times.size, np.nan)
     started = np.zeros(times.size, dtype=bool)
     toggles = np.zeros(times.size, dtype=np.int8)
@@ -822,12 +847,12 @@ def run(config: RunConfig) -> Trace:
     return Trace(
         config=config,
         topology=topology,
-        diameter_bound=setup.diameter_bound,
+        diameter_bound=diameter_bound,
         effective_skew_threshold=params.skew_threshold,
         horizon=horizon,
         sample_times=sample_grid(times, table),
         events=EventLog(times, srcs, dsts, payloads, started, jumps, toggles),
-        clocks=setup.clocks,
+        clocks=clocks,
         clock_table=table,
         history=history,
     )

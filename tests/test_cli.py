@@ -663,6 +663,26 @@ class TestSweep:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_max_gap_over_the_workload_cap_refused_before_any_point_runs(
+        self, tmp_path, capsys
+    ):
+        # max_gap 1e-6 passes every config rule, but its sends exceed the
+        # workload cap; every max_gap point shares the base's topology
+        base = config_to_dict(replace(preset("two_node"), skew_threshold=1e-6, horizon=10.0))
+        path = self.sweep_spec(
+            tmp_path, base=base, parameter="max_gap", values=[1.0, 1e-6], variants=["gradient"]
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "violation: point max_gap=1e-06 variant=gradient: workload of about 2e+07 "
+            "sends and drift segments over horizon 10.0 exceeds the cap of 10,000,000: "
+            "shorten the horizon or lengthen max_gap or drift.dwell\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("diameter", [1580, 1581])
     def test_wait_chain_workload_estimate_matches_the_run(self, diameter):
         config = build_wait_chain_scenario(diameter, 0.1, 1.0, 1.0)

@@ -1,16 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+import weakref
 from collections import defaultdict
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gradsync import engine, protocol
 from gradsync import topology as topo_mod
-from gradsync.clocks import clock_table
+from gradsync.clocks import ClockTable, clock_table
 from gradsync.engine import (
     WORKLOAD_CAP,
     ConfigError,
@@ -196,7 +201,7 @@ class TestGenerateSchedule:
             (3, 0): (-0.5, 0.5, 1.0),
             (0, 3): (1.0, 2.0, 3.0, 4.0, 4.0),
         }
-        schedule = engine.CommSchedule(max_gap=1.0, horizon=4.0, sends=sends)
+        schedule = engine.CommSchedule.from_sends(max_gap=1.0, horizon=4.0, sends=sends)
         found = schedule.violations()
         assert found == self.walk_every_edge(schedule)
         for edge in ("1->0", "2->1", "3->2"):
@@ -217,7 +222,7 @@ class TestGenerateSchedule:
         ],
     )
     def test_faults_found_in_one_pass_match_the_walk(self, horizon, sends):
-        schedule = engine.CommSchedule(max_gap=1.0, horizon=horizon, sends=sends)
+        schedule = engine.CommSchedule.from_sends(max_gap=1.0, horizon=horizon, sends=sends)
         assert schedule.violations() == self.walk_every_edge(schedule)
 
     def test_only_faulty_edges_are_walked(self, monkeypatch):
@@ -230,23 +235,24 @@ class TestGenerateSchedule:
         assert sched.violations() == [] and walked == []
         broken = dict(sched.sends)
         broken[(0, 1)] = broken[(0, 1)][:-1] + (25.0,)
-        faulty = engine.CommSchedule(max_gap=1.0, horizon=20.0, sends=broken)
+        faulty = engine.CommSchedule.from_sends(max_gap=1.0, horizon=20.0, sends=broken)
         assert faulty.violations() == self.walk_every_edge(faulty)
         assert walked == [broken[(0, 1)]]
 
-    def test_periodic_schedule_checked_once_per_tuple(self, monkeypatch):
+    def test_periodic_schedule_walks_each_faulty_edge_once(self, monkeypatch):
         sched = generate_schedule(ring(6), 1.0, "periodic", seed=0, horizon=7.0)
-        assert len({id(times) for times in sched.sends.values()}) == 1
+        sends = sched.sends
+        assert all(times == sends[(0, 1)] for times in sends.values())
         walks = []
         walk = engine.CommSchedule._faults
         monkeypatch.setattr(
             engine.CommSchedule, "_faults", lambda self, times: walks.append(1) or walk(self, times)
         )
-        faulty = engine.CommSchedule(max_gap=0.5, horizon=7.5, sends=sched.sends)
+        faulty = engine.CommSchedule.from_sends(max_gap=0.5, horizon=7.5, sends=sends)
         found = faulty.violations()
-        assert len(walks) == 1
+        assert len(walks) == len(sends)  # every edge is faulty
         assert found == self.walk_every_edge(faulty)
-        assert len(found) == len(sched.sends) * 7  # every gap exceeds max_gap on every edge
+        assert len(found) == len(sends) * 7  # every gap exceeds max_gap on every edge
 
 
 SCRIPTED_TIES = {
@@ -290,7 +296,9 @@ class TestEventOrder:
     )
     def test_columns_match_key_sort(self, topology, mode, horizon):
         if mode == "repeated":
-            sched = engine.CommSchedule(max_gap=1.0, horizon=horizon, sends=REPEATED_TIMES)
+            sched = engine.CommSchedule.from_sends(
+                max_gap=1.0, horizon=horizon, sends=REPEATED_TIMES
+            )
         else:
             scripted = SCRIPTED_TIES if mode == "scripted" else None
             sched = generate_schedule(topology, 1.0, mode, 7, horizon, scripted=scripted)
@@ -655,6 +663,25 @@ class TestRun:
         )
         assert trace.horizon == 4.0 * 4 * 1.0
 
+    def test_schedule_released_before_the_rebase_history(self, monkeypatch):
+        schedules, alive = [], []
+        resolve_config, rebase_history = engine.resolve, engine._rebase_history
+
+        def resolving(config):
+            setup = resolve_config(config)
+            schedules.append(weakref.ref(setup.schedule))
+            return setup
+
+        def rebasing(*args):
+            alive.append(schedules[-1]() is not None)
+            return rebase_history(*args)
+
+        monkeypatch.setattr(engine, "resolve", resolving)
+        monkeypatch.setattr(engine, "_rebase_history", rebasing)
+        run(preset("random_geometric"))
+        run(build_wait_chain_scenario(8, 0.1, 1.0, 1.0))
+        assert alive == [False, False]
+
     def test_determinism_in_process(self):
         cfg = replace(preset("random_geometric"), seed=3)
         a = run(cfg)
@@ -891,6 +918,54 @@ class TestSampleGrid:
         np.testing.assert_array_equal(
             sample_grid(trace.events.time, trace.clock_table), wanted, strict=True
         )
+
+    @pytest.mark.parametrize(
+        "times, breaks",
+        [
+            # repeated times, adjacent and apart
+            ([0.5, 1.0, 1.0, 1.0, 2.0, 0.5, 2.0, 1.0], [0.0]),
+            # drift breakpoints equal to event times, and one at the horizon
+            ([0.5, 1.0, 1.5, 2.0, 2.0], [0.0, 0.5, 1.0, 2.0, 3.0]),
+            # the run start and the horizon among the events
+            ([0.0, 0.0, 1.0, 3.0, 3.0], [0.0, 1.0, 2.0]),
+            ([3.0, 0.0], [0.0, 1.5]),
+            ([], [0.0, 1.5]),
+            # many repeats, in no order
+            ((np.random.default_rng(5).integers(0, 25, 400) / 8.0).tolist(), [0.0, 0.75, 2.0]),
+        ],
+    )
+    def test_keeps_what_unique_keeps(self, times, breaks):
+        table = ClockTable(np.array(breaks), None, None, 3.0)
+        inside = [b for b in breaks if 0.0 < b < 3.0]
+        wanted = np.unique(np.concatenate(([0.0, 3.0], times, inside)))
+        grid = sample_grid(np.array(times, dtype=float), table)
+        assert grid.shape == wanted.shape and bool(np.all(grid == wanted))
+
+    def test_a_run_and_its_report_leave_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma, which then holds about 0.5 MB for the
+        # rest of the process
+        script = """
+import sys
+from gradsync.engine import RunConfig, TopologySpec, build_wait_chain_scenario, run
+from gradsync.metrics import compute_report
+for config in (
+    build_wait_chain_scenario(16, 0.1, 1.0, 1.0),
+    RunConfig(
+        topology=TopologySpec(kind="random_geometric", n=20, radius=0.4, seed=3),
+        drift_bound=0.1, max_gap=1.0, skew_threshold=1.0, drift_mode="piecewise_random",
+        schedule_mode="random_uniform", seed=1,
+    ),
+):
+    compute_report(run(config))
+print("numpy.ma" in sys.modules)
+"""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout == "False\n"
 
     def test_run_without_events_keeps_the_initiators_start(self):
         trace = run(NO_EVENTS)

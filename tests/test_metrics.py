@@ -509,6 +509,24 @@ def test_run_peaks_little_per_event(variant):
         assert peak < bound * len(trace.events), diameter
 
 
+def test_random_field_run_peaks_little_per_event():
+    # A random_uniform run on the 50-node random_geometric preset peaks at
+    # 103.5 B per event (103.2 B at rgg n = 80, r = 0.22); the bound is about
+    # 1.21 times that. While the run held its resolved schedule, its sends
+    # as Python floats in per-edge tuples, through the loop, it peaked at
+    # 146.0 B (145.2 B at n = 80).
+    config = preset("random_geometric")
+    assert config.schedule_mode == "random_uniform"
+    run(config)  # leave one-time allocations out of the count
+    tracemalloc.start()
+    try:
+        trace = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 125 * len(trace.events)
+
+
 @pytest.mark.parametrize("variant", ["gradient", "no_slowdown"])
 def test_report_peaks_little_above_the_run_per_event(variant):
     # compute_report on the D = 128 wait chain peaks 17.3 B per event above
