@@ -670,23 +670,39 @@ def resolve(config: RunConfig) -> Setup:
 
 def sample_grid(event_times, table: ClockTable) -> np.ndarray:
     """Sorted sample times: run start, every event time, every drift
-    breakpoint inside the run, and the horizon. Between two consecutive
-    samples every logical clock is linear in real time.
+    breakpoint inside the run, and the horizon, each once. Between two
+    consecutive samples every logical clock is linear in real time.
 
-    An event time equal to the one before it is dropped before the sort,
-    so in processing order only the distinct times are sorted. The sort and
-    the pass that keeps each time unequal to the one before it are what
-    np.unique does, without its import of numpy.ma."""
+    A run's event times come in processing order, so they are already
+    sorted; times in any other order are sorted first, in a copy. The grid
+    is allocated once, at its final size, and filled _ROW_BLOCK events at a
+    time: the events unequal to the one before them, merged with the run
+    start, breakpoints and horizon that fall before the next block, less
+    those equal to an event. So no other array of the grid's size is made,
+    and the grid is what np.unique gives, without its import of numpy.ma."""
     breaks, horizon = table.breaks, table.horizon
-    inside = breaks[(breaks > 0.0) & (breaks < horizon)]
     times = np.asarray(event_times, dtype=float)
-    distinct = np.ones(times.size, dtype=bool)
-    np.not_equal(times[1:], times[:-1], out=distinct[1:])
-    grid = np.concatenate(([0.0, horizon], times[distinct], inside))
-    grid.sort()
-    keep = np.ones(grid.size, dtype=bool)
-    np.not_equal(grid[1:], grid[:-1], out=keep[1:])
-    return grid[keep]
+    keep = np.ones(times.size, dtype=bool)
+    if not np.greater_equal(times[1:], times[:-1], out=keep[1:]).all():
+        times = np.sort(times)
+    np.not_equal(times[1:], times[:-1], out=keep[1:])
+    marks = np.concatenate(([0.0], breaks[(breaks > 0.0) & (breaks < horizon)], [horizon]))
+    at = times.searchsorted(marks)
+    taken = at < times.size
+    taken[taken] = times[at[taken]] == marks[taken]  # an event is at the mark
+    marks = marks[~taken]
+    grid = np.empty(np.count_nonzero(keep) + marks.size)
+    filled = placed = 0
+    for start in range(0, max(times.size, 1), _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        block = times[start:stop][keep[start:stop]]
+        upto = marks.size if stop >= times.size else int(marks.searchsorted(times[stop]))
+        if upto > placed:
+            block = np.insert(block, block.searchsorted(marks[placed:upto]), marks[placed:upto])
+            placed = upto
+        grid[filled : filled + block.size] = block
+        filled += block.size
+    return grid
 
 
 def _hardware_times(table: ClockTable, times: np.ndarray, nodes: np.ndarray) -> np.ndarray:

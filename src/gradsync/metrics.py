@@ -7,10 +7,11 @@ times, drift breakpoints, run start, and the horizon. Between consecutive
 samples every logical clock is linear in real time, so skew maxima over
 the whole run are attained at sample points and the reported statistics
 are exact, not approximations. The report and the CSV writer evaluate
-logical values on the grid from the history block by block, so neither
-holds a nodes x samples array, and read the hardware clocks from one
-clocks.ClockTable. The minimum rate and the reduced-rate episodes are
-each one pass over the history's columns.
+logical values on the grid from the history block by block, each block
+one flat pass over every node, so neither holds a nodes x samples array,
+and read the hardware clocks from one clocks.ClockTable. The minimum rate
+and the reduced-rate episodes are each one pass over the history's
+columns.
 
 The pair maxima (per edge, and per hop distance) are not taken over every
 pair at every sample. Per sub-block of samples each node's clock, less the
@@ -280,58 +281,128 @@ def sample_history(
     the pieces in effect from that time on: at a rebase point or a drift
     breakpoint, the new piece's.
 
-    No time is searched for: the table's drift segments, then per node the
-    rebase points, in effect somewhere in [times[0], times[-1]] are placed
-    among the times, and each one's constants (node i's row of the table)
-    are repeated over the times it covers.
+    The times are evaluated as one block of _block_evaluator: flat array
+    work over every node at once, no loop over the nodes but the search
+    for each node's window of rows.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or not np.all(ts[1:] >= ts[:-1]):
         raise ValueError("sample times must be a non-decreasing 1-d sequence")
-    logical = np.full((len(history), ts.size), np.nan)
-    alphas = np.full((len(history), ts.size), np.nan) if factors else None
-    rates = np.full((len(history), ts.size), np.nan) if factors else None
+    history = History.of(history)
     if ts.size == 0:
-        return logical, alphas, rates
-    breaks, origins, hw_rates, horizon = table
-    if not (ts[0] >= 0.0 and ts[-1] <= horizon):
-        raise ValueError(f"time outside covered horizon [0, {horizon}]")
-    # every time is at least breaks[0] = 0, so the segments cover them all
-    seg, _, seg_counts = _pieces(breaks, ts)
-    since = ts - breaks[seg].repeat(seg_counts)
-    for i, hist in enumerate(history):
-        span, first, counts = _pieces(hist.times, ts)
-        if first == ts.size:
-            continue
-        hw_rate = hw_rates[i, seg].repeat(seg_counts)[first:]
-        hardware = origins[i, seg].repeat(seg_counts)[first:] + hw_rate * since[first:]
-        alpha = hist.factors[span].repeat(counts)
-        logical[i, first:] = hist.values[span].repeat(counts) + alpha * (
-            hardware - hist.hardware[span].repeat(counts)
-        )
-        if factors:
-            alphas[i, first:] = alpha
-            np.multiply(alpha, hw_rate, out=rates[i, first:])
-    return logical, alphas, rates
+        return _unstarted(len(history), 0, factors)
+    if not (ts[0] >= 0.0 and ts[-1] <= table.horizon):
+        raise ValueError(f"time outside covered horizon [0, {table.horizon}]")
+    return _block_evaluator(history, table, ts, ts.size, factors)(ts)
 
 
-def _pieces(starts: np.ndarray, times: np.ndarray) -> tuple[slice, int, np.ndarray]:
-    """The pieces of a piecewise function that hold at sorted times.
+def _unstarted(n: int, m: int, factors: bool):
+    """sample_history's result where no node has started."""
+    logical = np.full((n, m), np.nan)
+    return logical, logical.copy() if factors else None, logical.copy() if factors else None
 
-    Piece k holds from starts[k], which is non-decreasing, until starts[k + 1].
-    Returns (span, first, counts): span selects the pieces that hold at some
-    time, and from times[first] on they hold in turn, piece span.start + k at
-    the next counts[k] times. The times before times[first] precede every
-    piece; first is len(times) where all do. A piece that starts with the
-    next holds at no time, so equal starts resolve to the last.
+
+def _block_evaluator(history: History, table: ClockTable, times, width: int, factors: bool):
+    """A function of the blocks times[k * width : (k + 1) * width] of the
+    non-decreasing times, called once per block in block order, that gives
+    sample_history(history, table, block, factors) for each.
+
+    The rows each block reads are found here, for every block at once: per
+    node, one search of its rows for every block's first and last time. A
+    block reads node i's rows from the one in effect at its first time, or
+    from the node's first row where none is, up to the first row after its
+    last time. Only these two (blocks, nodes) int32 arrays are kept; each
+    block is then flat array work, in _evaluate_block.
     """
-    lo, hi = starts.searchsorted((times[0], times[-1]), side="right").tolist()
-    span = slice(max(lo - 1, 0), hi)
-    # where each piece's run begins, then the end of the last run
-    at = np.empty(span.stop - span.start + 1, dtype=np.intp)
-    at[:-1] = times.searchsorted(starts[span], side="left")
-    at[-1] = times.size
-    return span, int(at[0]), at[1:] - at[:-1]
+    lasts = np.minimum(np.arange(width, times.size + width, width), times.size) - 1
+    edges = np.column_stack((times[::width], times[lasts])).ravel()
+    # int32 rows: the workload cap keeps a run's rebase points far below 2**31
+    found = np.empty((edges.size, len(history)), dtype=np.int32)
+    bounds = history.bounds.tolist()
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        found[:, i] = history.times[lo:hi].searchsorted(edges, side="right")
+        found[:, i] += lo
+    start, stop = found[0::2], found[1::2]
+    start -= 1
+    np.maximum(start, history.bounds[:-1], out=start)
+    windows = zip(start, stop)
+
+    def evaluate(block: np.ndarray):
+        return _evaluate_block(history, table, block, *next(windows), factors)
+
+    return evaluate
+
+
+def _evaluate_block(history: History, table: ClockTable, ts, start, stop, factors: bool):
+    """sample_history at the times ts, reading node i's rows start[i] up to
+    stop[i], as _block_evaluator finds them.
+
+    One search of those rows among the times gives where each row takes
+    effect, so each row holds over a count of times, and repeat spreads its
+    constants over them, node after node, in the layout of the nodes x
+    times result. Each time's drift segment, from one search of the breaks,
+    spreads the clock table's columns the same way. A node's first row is
+    spread from ts[0]; where some node had not started yet, a mask writes
+    NaN over its times before its start. The arithmetic is v + f * (h - h0)
+    with h = o + r * since, each sum and product taken in place, so every
+    value has the bits of the per-sample search.
+    """
+    n, m = len(history), ts.size
+    if history.times.size == 0:
+        return _unstarted(n, m, factors)
+    count = stop - start
+    idle = count == 0  # no row by ts[-1]: row 0 stands in, masked throughout
+    start = np.where(idle, 0, start)
+    count[idle] = 1
+    offset = np.cumsum(count) - count
+    last = offset + count - 1
+    # the window rows, as steps of 1 from each node's start
+    rows = np.ones(int(count.sum()), dtype=np.int32)
+    rows[offset[1:]] = start[1:] - start[:-1] - count[:-1] + 1
+    rows[0] = start[0]
+    np.cumsum(rows, dtype=np.int32, out=rows)
+    # row r holds over the times at[r]:at[r + 1], up to ts[-1] at its node's
+    # last; at becomes those counts in place, and rows that hold at no time
+    # (followed by a row at the same time) are dropped
+    at = ts.searchsorted(history.times[rows], side="left")
+    begin = at[offset]
+    begin[idle] = m
+    at[offset] = 0
+    tail = m - at[last]
+    np.subtract(at[1:], at[:-1], out=at[:-1])
+    at[last] = tail
+    held = at > 0
+    rows, span = rows[held], at[held]
+    del at, held
+
+    def spread(column: np.ndarray) -> np.ndarray:
+        return np.repeat(column[rows], span).reshape(n, m)
+
+    # each time's drift segment; from seg[0] on, the segments in turn hold at
+    # the next pieces[k] times, so their table columns are spread like the rows
+    breaks, origins, hw_rates, _ = table
+    seg = breaks.searchsorted(ts, side="right")  # every time is at least breaks[0] = 0
+    seg -= 1
+    since = ts - breaks[seg]
+    pieces = np.bincount(seg - seg[0])
+    columns = slice(int(seg[0]), int(seg[0]) + pieces.size)
+    logical = np.repeat(origins[:, columns], pieces, axis=1)
+    hardware_rate = np.repeat(hw_rates[:, columns], pieces, axis=1)
+    alphas = rates = None
+    if factors:
+        alphas = spread(history.factors)
+        rates = alphas * hardware_rate
+    hardware_rate *= since
+    logical += hardware_rate
+    del hardware_rate
+    logical -= spread(history.hardware)
+    logical *= spread(history.factors) if alphas is None else alphas
+    logical += spread(history.values)
+    if begin.any():
+        unstarted = np.arange(m) < begin[:, None]
+        for out in (logical, alphas, rates) if factors else (logical,):
+            out[unstarted] = np.nan
+    return logical, alphas, rates
 
 
 class GlobalSkew(NamedTuple):
@@ -405,10 +476,10 @@ class SkewReport:
     warmup: float
 
 
-# Samples evaluated from the history at a time: each evaluated block is
-# nodes x _EVAL_BLOCK floats (2.6 MB at n = 80), independent of the run's
-# length.
-_EVAL_BLOCK = 4096
+# Samples evaluated from the history at a time, the width of a bound
+# sub-block: each evaluated block is nodes x _EVAL_BLOCK floats (164 kB at
+# n = 80, 2.1 MB at n = 1025), independent of the run's length.
+_EVAL_BLOCK = 256
 # Columns per bound sub-block: the pass bounds every pair's skew over this
 # many samples at once and evaluates only the pairs whose bound can still
 # raise a reported maximum.
@@ -445,7 +516,10 @@ def _trace_blocks(trace: Trace, warmup: float):
             [f"warmup {warmup!r} leaves no sample: it must be finite and at most "
              f"the horizon {trace.horizon!r}"]
         )
-    return _warm_blocks(trace.sample_times, warmup, trace.evaluate_logical)
+    times = trace.sample_times
+    warm = times[int(times.searchsorted(warmup, side="left")) :]
+    evaluate = _block_evaluator(trace.history, trace.clock_table, warm, _EVAL_BLOCK, False)
+    return _warm_blocks(warm, warmup, lambda block: evaluate(block)[0])
 
 
 _NO_SKEW = GlobalSkew(0.0, (0, 0), 0.0)
@@ -748,7 +822,8 @@ def trace_csv_text(trace: Trace, out=None) -> str | None:
     sample (it has no forward interval). event_kind joins whatever applies
     to that node at that instant: start, recv, send, drift.
 
-    Rows are rendered from the history _CSV_BLOCK samples at a time. Given
+    Rows are rendered from the history _CSV_BLOCK samples at a time, with
+    each node's rows searched once for every block. Given
     a text file out, each block is written to it as soon as it is rendered
     and None is returned; otherwise the whole text is returned.
     """
@@ -773,9 +848,12 @@ def trace_csv_text(trace: Trace, out=None) -> str | None:
     write = chunks.append if out is None else out.write
     write("time,node,logical,rate,alpha,event_kind\n")
     total = trace.sample_times.size
+    evaluate = _block_evaluator(
+        trace.history, trace.clock_table, trace.sample_times, _CSV_BLOCK, True
+    )
     for s0 in range(0, total, _CSV_BLOCK):
         times = trace.sample_times[s0 : s0 + _CSV_BLOCK]
-        logical, alphas, rates = sample_history(trace.history, trace.clock_table, times)
+        logical, alphas, rates = evaluate(times)
         if s0 + times.size == total:
             rates[:, -1] = np.nan
         lines = []
