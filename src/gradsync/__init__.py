@@ -8,29 +8,21 @@ worst-case skew scenarios; the metrics layer checks the analytic bounds.
 """
 
 from .clocks import DriftSchedule, HardwareClock, make_drift_schedule
-from .engine import (
-    CommSchedule,
+from .config import (
     ConfigError,
     RunConfig,
-    Setup,
     TopologySpec,
     build_wait_chain_scenario,
     config_from_dict,
     config_to_dict,
-    generate_schedule,
-    resolve,
-    run,
-    validate_config,
     wait_chain_length,
 )
+from .engine import Setup, resolve, run, validate_config
 from .metrics import (
     BoundVerdict,
-    EventLog,
     GlobalSkew,
     ReducedRateStats,
     SkewReport,
-    Trace,
-    TraceEvent,
     bound_checks,
     compute_report,
     global_skew,
@@ -54,6 +46,7 @@ from .protocol import (
     on_start,
     rate_factor,
 )
+from .schedule import CommSchedule, generate_schedule
 from .topology import (
     Topology,
     TopologyError,
@@ -64,5 +57,6 @@ from .topology import (
     random_geometric,
     ring,
 )
+from .trace import EventLog, Trace, TraceEvent
 
 __version__ = "0.1.0"

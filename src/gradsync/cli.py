@@ -12,21 +12,19 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import (
+from .config import (
     ConfigError,
     RunConfig,
-    _config_violations,
-    _horizon,
-    _workload_violations,
     as_integer,
     as_number,
     build_wait_chain_scenario,
     config_from_dict,
+    config_violations,
+    default_horizon,
     is_wait_chain,
-    resolve,
-    run,
-    validate_config,
+    workload_violations,
 )
+from .engine import resolve, run, validate_config
 from .metrics import compute_report, summary_json_text, trace_csv_text
 from .oracle import compare, oracle_run
 from .presets import PRESETS, preset
@@ -175,14 +173,14 @@ def _sweep_points(base, parameter: str, values: list, variants: list) -> list:
                     continue
                 seen.add((number, variant))
                 config = _sweep_point(base, parameter, number, variant)
-                found = _config_violations(config)  # builds no topology
+                found = config_violations(config)  # builds no topology
                 if parameter == "diameter" and not found:
                     # the wait chain of diameter D has D + 1 nodes and 2 D directed edges
-                    found = _workload_violations(config, 2 * number, number + 1, config.horizon)
+                    found = workload_violations(config, 2 * number, number + 1, config.horizon)
                 elif topology is not None and not found:
-                    found = _workload_violations(
+                    found = workload_violations(
                         config, len(topology.directed_edges()), topology.node_count,
-                        _horizon(config, topology),
+                        default_horizon(config, topology),
                     )
                 for problem in found:
                     problems.append(f"point {parameter}={value} variant={variant}: {problem}")

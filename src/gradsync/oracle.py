@@ -19,8 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clocks import clock_table
-from .engine import WORKLOAD_CAP, ConfigError, RunConfig, resolve, sample_grid
-from .metrics import Trace
+from .config import ConfigError, RunConfig
+from .engine import resolve, sample_grid
+from .topology import WORKLOAD_CAP
+from .trace import Trace
 
 __all__ = ["oracle_run", "compare", "Comparison", "OracleRun"]
 

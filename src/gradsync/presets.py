@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .engine import RunConfig, TopologySpec, build_wait_chain_scenario
+from .config import RunConfig, TopologySpec, build_wait_chain_scenario
 
 __all__ = ["PRESETS", "preset"]
 

@@ -1,11 +1,32 @@
 """Shared test helpers and the acceptance line reporter."""
 
+import numpy as np
+
+from gradsync.trace import History, NodeHistory
+
 acceptance_lines: list[str] = []
 
 
 def record_acceptance(line: str):
     acceptance_lines.append(line)
     print(line, flush=True)
+
+
+def history_of(nodes) -> History:
+    """A History of hand-made rebase points, node by node: each node a
+    NodeHistory, or its times, values, factors and hardware columns in that
+    order, as float64."""
+    nodes = [
+        node if isinstance(node, NodeHistory)
+        else NodeHistory(*(np.asarray(column, dtype=float) for column in node))
+        for node in nodes
+    ]
+    columns = (
+        np.concatenate([getattr(node, name) for node in nodes])
+        for name in ("times", "values", "factors", "hardware")
+    )
+    sizes = [node.times.size for node in nodes]
+    return History(*columns, np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -17,13 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradsync.engine import (
-    RunConfig,
-    TopologySpec,
-    build_wait_chain_scenario,
-    run,
-    wait_chain_length,
-)
+from gradsync.config import RunConfig, TopologySpec, build_wait_chain_scenario, wait_chain_length
+from gradsync.engine import run
 from gradsync.metrics import global_skew, gradient_profile
 from gradsync.oracle import compare, oracle_run
 from gradsync.presets import PRESETS

@@ -6,7 +6,8 @@ columns."""
 import importlib.util
 from pathlib import Path
 
-from gradsync.engine import build_wait_chain_scenario, run
+from gradsync.config import build_wait_chain_scenario
+from gradsync.engine import run
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

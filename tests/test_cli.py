@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from gradsync import engine
 from gradsync.cli import main
-from gradsync.engine import build_wait_chain_scenario, config_to_dict, run, validate_config
+from gradsync.config import build_wait_chain_scenario, config_to_dict, workload_violations
+from gradsync.engine import run, validate_config
 from gradsync.presets import preset
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -41,9 +41,9 @@ def node_0_ahead(monkeypatch):
 
     def ahead(config):
         trace = run(config)
-        history = list(trace.history)
-        history[0] = replace(history[0], values=history[0].values + 50.0)
-        return replace(trace, history=tuple(history))
+        values = trace.history.values.copy()
+        values[: trace.history.bounds[1]] += 50.0  # node 0's rows
+        return replace(trace, history=replace(trace.history, values=values))
 
     monkeypatch.setattr("gradsync.cli.run", ahead)
 
@@ -686,7 +686,7 @@ class TestSweep:
     @pytest.mark.parametrize("diameter", [1580, 1581])
     def test_wait_chain_workload_estimate_matches_the_run(self, diameter):
         config = build_wait_chain_scenario(diameter, 0.1, 1.0, 1.0)
-        estimate = engine._workload_violations(
+        estimate = workload_violations(
             config, 2 * diameter, diameter + 1, config.horizon
         )
         assert estimate == validate_config(config)

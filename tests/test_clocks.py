@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradsync.clocks import DriftSchedule, HardwareClock, clock_table, make_drift_schedule
-from gradsync.metrics import NodeHistory, sample_history
+from gradsync.trace import sample_history
+
+from conftest import history_of
 
 
 def riemann_hardware_time(schedule, t, step=1e-4):
@@ -152,7 +154,7 @@ def test_rate_at_is_one_plus_the_drift_in_effect():
     sched = make_drift_schedule("piecewise_random", 0.2, horizon=8.0, dwell=0.9, seed=3)
     clock = HardwareClock(sched)
     # a node started at 0 that keeps factor 1: its logical rate is the clock's
-    history = (NodeHistory(np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1)),)
+    history = history_of([(np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1))])
     ts = np.array([0.0, 0.45, 0.9, 1.8, 4.0, 7.2, 8.0])  # 0.9, 1.8 and 7.2 are breakpoints
     rates = sample_history(history, clock_table((clock,)), ts)[2][0]
     segment = [0, 0, 1, 2, 4, 8, 8]

@@ -13,28 +13,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradsync import config as config_mod
 from gradsync import engine, protocol
 from gradsync import topology as topo_mod
 from gradsync.clocks import ClockTable, clock_table
-from gradsync.engine import (
-    WORKLOAD_CAP,
+from gradsync.config import (
+    _FIELDS,
     ConfigError,
     RunConfig,
     TopologySpec,
-    _hardware_times,
+    _owner,
     build_wait_chain_scenario,
     config_from_dict,
     config_to_dict,
-    generate_schedule,
-    resolve,
-    run,
-    sample_grid,
-    validate_config,
+    is_wait_chain,
     wait_chain_length,
 )
-from gradsync.metrics import _ROW_BLOCK, NodeHistory, trace_csv_text
+from gradsync.engine import _hardware_times, resolve, run, sample_grid, validate_config
+from gradsync.metrics import trace_csv_text
 from gradsync.presets import PRESETS, preset
-from gradsync.topology import chain, grid, random_geometric, ring
+from gradsync.schedule import _GAP_CHUNK, CommSchedule, _capped_step, generate_schedule
+from gradsync.topology import WORKLOAD_CAP, chain, grid, random_geometric, ring
+from gradsync.trace import _ROW_BLOCK
+
+from conftest import history_of
 
 
 def edge_send_times(trace):
@@ -117,7 +119,7 @@ class TestGenerateSchedule:
         """The random_uniform schedule stepped by a plain loop, one
         _capped_step per drawn gap, and the number of steps it capped."""
         low = max_gap / 4.0 if gap_min is None else gap_min
-        chunk = min(int(2.0 * horizon / (max_gap + low)) + 16, engine._GAP_CHUNK)
+        chunk = min(int(2.0 * horizon / (max_gap + low)) + 16, _GAP_CHUNK)
         sends, capped = {}, 0
         for src, dst in topology.directed_edges():
             rng = np.random.default_rng((seed, 0x5C4ED, src, dst))
@@ -125,7 +127,7 @@ class TestGenerateSchedule:
             t = 0.0
             while t <= horizon:
                 for u in rng.uniform(0.0, max_gap - low, size=chunk).tolist():
-                    prev, t = t, engine._capped_step(t, max_gap - u, max_gap)
+                    prev, t = t, _capped_step(t, max_gap - u, max_gap)
                     capped += t != prev + (max_gap - u)
                     if t > horizon:
                         break
@@ -154,7 +156,7 @@ class TestGenerateSchedule:
         if gap_min is not None and gap_min > 0.5:
             assert capped > 0
         if horizon == 5.0:
-            assert max(len(times) for times in expected.values()) > engine._GAP_CHUNK
+            assert max(len(times) for times in expected.values()) > _GAP_CHUNK
 
     @staticmethod
     def walk_every_edge(schedule):
@@ -201,7 +203,7 @@ class TestGenerateSchedule:
             (3, 0): (-0.5, 0.5, 1.0),
             (0, 3): (1.0, 2.0, 3.0, 4.0, 4.0),
         }
-        schedule = engine.CommSchedule.from_sends(max_gap=1.0, horizon=4.0, sends=sends)
+        schedule = CommSchedule.from_sends(max_gap=1.0, horizon=4.0, sends=sends)
         found = schedule.violations()
         assert found == self.walk_every_edge(schedule)
         for edge in ("1->0", "2->1", "3->2"):
@@ -222,20 +224,20 @@ class TestGenerateSchedule:
         ],
     )
     def test_faults_found_in_one_pass_match_the_walk(self, horizon, sends):
-        schedule = engine.CommSchedule.from_sends(max_gap=1.0, horizon=horizon, sends=sends)
+        schedule = CommSchedule.from_sends(max_gap=1.0, horizon=horizon, sends=sends)
         assert schedule.violations() == self.walk_every_edge(schedule)
 
     def test_only_faulty_edges_are_walked(self, monkeypatch):
         walked = []
-        walk = engine.CommSchedule._faults
+        walk = CommSchedule._faults
         monkeypatch.setattr(
-            engine.CommSchedule, "_faults", lambda self, times: walked.append(times) or walk(self, times)
+            CommSchedule, "_faults", lambda self, times: walked.append(times) or walk(self, times)
         )
         sched = generate_schedule(ring(6), 1.0, "random_uniform", seed=3, horizon=20.0)
         assert sched.violations() == [] and walked == []
         broken = dict(sched.sends)
         broken[(0, 1)] = broken[(0, 1)][:-1] + (25.0,)
-        faulty = engine.CommSchedule.from_sends(max_gap=1.0, horizon=20.0, sends=broken)
+        faulty = CommSchedule.from_sends(max_gap=1.0, horizon=20.0, sends=broken)
         assert faulty.violations() == self.walk_every_edge(faulty)
         assert walked == [broken[(0, 1)]]
 
@@ -244,11 +246,11 @@ class TestGenerateSchedule:
         sends = sched.sends
         assert all(times == sends[(0, 1)] for times in sends.values())
         walks = []
-        walk = engine.CommSchedule._faults
+        walk = CommSchedule._faults
         monkeypatch.setattr(
-            engine.CommSchedule, "_faults", lambda self, times: walks.append(1) or walk(self, times)
+            CommSchedule, "_faults", lambda self, times: walks.append(1) or walk(self, times)
         )
-        faulty = engine.CommSchedule.from_sends(max_gap=0.5, horizon=7.5, sends=sends)
+        faulty = CommSchedule.from_sends(max_gap=0.5, horizon=7.5, sends=sends)
         found = faulty.violations()
         assert len(walks) == len(sends)  # every edge is faulty
         assert found == self.walk_every_edge(faulty)
@@ -296,7 +298,7 @@ class TestEventOrder:
     )
     def test_columns_match_key_sort(self, topology, mode, horizon):
         if mode == "repeated":
-            sched = engine.CommSchedule.from_sends(
+            sched = CommSchedule.from_sends(
                 max_gap=1.0, horizon=horizon, sends=REPEATED_TIMES
             )
         else:
@@ -520,12 +522,17 @@ class TestValidate:
     def test_workload_cap_far_above_the_presets_and_benchmarks(self, monkeypatch):
         rgg = preset("random_geometric")
         rgg_200 = replace(rgg, topology=replace(rgg.topology, n=200, radius=0.14, seed=1))
-        monkeypatch.setattr(engine, "WORKLOAD_CAP", WORKLOAD_CAP // 50)
-        monkeypatch.setattr(topo_mod, "WORKLOAD_CAP", WORKLOAD_CAP // 50)
+        cap = WORKLOAD_CAP // 50
+        monkeypatch.setattr(config_mod, "WORKLOAD_CAP", cap)
+        monkeypatch.setattr(topo_mod, "WORKLOAD_CAP", cap)
         configs = [preset(name) for name in PRESETS]
         configs += [build_wait_chain_scenario(128, 0.1, 1.0, 1.0), rgg_200]
         for config in configs:
             assert validate_config(config) == [], config.label
+        # the lowered cap is the one the config's rules read: a chain of 633
+        # nodes has 200,028 node pairs, and builds under the unlowered cap
+        over = self.base(topology=TopologySpec(kind="chain", n=633))
+        assert validate_config(over) == [f"chain topology of 633 nodes has over {cap:,} node pairs"]
 
 
 _CHAIN_5 = RunConfig(
@@ -575,7 +582,7 @@ class TestWaitChainScenario:
         assert build_wait_chain_scenario(4471, 0.1, 1.0, 1.0).topology.n == 4472
         with pytest.raises(ConfigError, match=f"diameter 4,472 has over {WORKLOAD_CAP:,} node"):
             build_wait_chain_scenario(4472, 0.1, 1.0, 1.0)
-        assert not engine.is_wait_chain(replace(preset("wait_chain"), drift_signs=(1,) * 4473))
+        assert not is_wait_chain(replace(preset("wait_chain"), drift_signs=(1,) * 4473))
 
     def test_wait_chain_length_formula(self):
         assert wait_chain_length(10, 0.1, 1.0, 1.0) == 10.0
@@ -761,7 +768,7 @@ def looped_run(config):
             else:
                 intervals[-1] = (intervals[-1][0], t)
     return (
-        tuple(NodeHistory(*map(np.array, columns)) for columns in history),
+        history_of(history),
         (times, srcs, dsts, payloads, started, jumps, toggles),
         {key: tuple(iv) for key, iv in sorted(reduced.items())},
     )
@@ -946,7 +953,8 @@ class TestSampleGrid:
         # rest of the process
         script = """
 import sys
-from gradsync.engine import RunConfig, TopologySpec, build_wait_chain_scenario, run
+from gradsync.config import RunConfig, TopologySpec, build_wait_chain_scenario
+from gradsync.engine import run
 from gradsync.metrics import compute_report
 for config in (
     build_wait_chain_scenario(16, 0.1, 1.0, 1.0),
@@ -1031,7 +1039,7 @@ class TestConfigRoundTrip:
         assert validate_config(cfg) == []
 
     def test_field_table_covers_every_attribute_once(self):
-        attrs = [(engine._owner(path), attr) for path, (attr, _) in engine._FIELDS.items()]
+        attrs = [(_owner(path), attr) for path, (attr, _) in _FIELDS.items()]
         expected = [(TopologySpec, f.name) for f in fields(TopologySpec)]
         expected += [(RunConfig, f.name) for f in fields(RunConfig) if f.name != "topology"]
         assert sorted(attrs, key=repr) == sorted(expected, key=repr)

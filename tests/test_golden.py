@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from gradsync.cli import main
-from gradsync.engine import build_wait_chain_scenario, run
+from gradsync.config import build_wait_chain_scenario
+from gradsync.engine import run
 from gradsync.presets import preset
 
 

@@ -8,21 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradsync.engine import (
+from gradsync import metrics
+from gradsync.clocks import ClockTable, DriftSchedule, HardwareClock, clock_table
+from gradsync.config import (
     ConfigError,
     RunConfig,
     TopologySpec,
     build_wait_chain_scenario,
     config_from_dict,
-    run,
 )
-from gradsync import metrics
-from gradsync.clocks import ClockTable, DriftSchedule, HardwareClock, clock_table
+from gradsync.engine import run
 from gradsync.metrics import (
     GlobalSkew,
-    NodeHistory,
     SkewReport,
-    Trace,
     bound_checks,
     compute_report,
     global_skew,
@@ -35,6 +33,9 @@ from gradsync.metrics import (
 )
 from gradsync.presets import PRESETS, preset
 from gradsync.topology import chain
+from gradsync.trace import History, NodeHistory, Trace, _block_evaluator, sample_history
+
+from conftest import history_of
 from test_engine import LOOP_CONFIGS, NO_EVENTS
 
 
@@ -236,7 +237,7 @@ def looped_rate_floor(trace):
         points = points[points < trace.horizon]
         if points.size:
             row = ClockTable(breaks, origins[i : i + 1], rates[i : i + 1], horizon)
-            lowest = min(lowest, float(metrics.sample_history((hist,), row, points)[2].min()))
+            lowest = min(lowest, float(sample_history(history_of([hist]), row, points)[2].min()))
     return lowest if lowest < math.inf else float("nan")
 
 
@@ -291,11 +292,7 @@ def hand_made_trace():
         ((), ()),
         ((3.5,), (0.75,)),
     )
-    history = tuple(
-        NodeHistory(np.array(t, dtype=float), np.array(t, dtype=float),
-                    np.array(f, dtype=float), np.array(t, dtype=float))
-        for t, f in rows
-    )
+    history = history_of((t, t, f, t) for t, f in rows)
     return replace(base, clocks=clocks, clock_table=clock_table(clocks), history=history)
 
 
@@ -337,8 +334,8 @@ class TestOnePassReductions:
 
     def test_no_started_node_has_no_floor(self):
         trace = hand_made_trace()
-        empty = NodeHistory(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
-        trace = replace(trace, history=(empty,) * 4)
+        empty = (np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
+        trace = replace(trace, history=history_of([empty] * 4))
         assert math.isnan(rate_floor(trace)) and math.isnan(looped_rate_floor(trace))
         assert reduced_rate_stats(trace).durations == ()
 
@@ -347,7 +344,7 @@ class TestHistory:
     def test_nodes_are_views_of_the_columns(self):
         trace = run(preset("startup_chain"))
         history = trace.history
-        assert isinstance(history, metrics.History)
+        assert isinstance(history, History)
         bounds = history.bounds.tolist()
         assert len(history) == trace.node_count == len(bounds) - 1
         nodes = list(history)
@@ -361,20 +358,8 @@ class TestHistory:
                 assert np.array_equal(got, column[bounds[i] : bounds[i + 1]])
                 assert np.array_equal(getattr(history[i], name), got)
         assert history[-1].times.tolist() == nodes[-1].times.tolist()
-        assert [node.times.tolist() for node in history[1:3]] == [
-            node.times.tolist() for node in nodes[1:3]
-        ]
         with pytest.raises(IndexError):
             history[len(history)]
-
-    def test_a_sequence_of_nodes_is_joined(self):
-        trace = run(preset("startup_chain"))
-        rebuilt = replace(trace, history=tuple(trace.history)).history
-        assert isinstance(rebuilt, metrics.History)
-        for name in ("times", "values", "factors", "hardware", "bounds"):
-            np.testing.assert_array_equal(
-                getattr(rebuilt, name), getattr(trace.history, name), strict=True
-            )
 
 
 class TestBoundChecks:
@@ -739,7 +724,7 @@ def unstarted_node_history():
     for at in (3, len(nodes) + 1):
         nodes.insert(at, never)
         clocks.insert(at, clocks[0])
-    return metrics.History.of(nodes), tuple(clocks)
+    return history_of(nodes), tuple(clocks)
 
 
 class TestSampleHistory:
@@ -749,7 +734,7 @@ class TestSampleHistory:
         points = np.concatenate([hist.times for hist in trace.history])
         assert np.unique(points).size < points.size  # equal-time rebase points occur
         for label, times in evaluator_time_sets(trace).items():
-            got = metrics.sample_history(trace.history, trace.clock_table, times)
+            got = sample_history(trace.history, trace.clock_table, times)
             expected = searched_sample_history(trace.history, trace.clocks, times)
             for actual, wanted in zip(got, expected, strict=True):  # logical, alphas, rates
                 np.testing.assert_array_equal(actual, wanted, err_msg=label, strict=True)
@@ -773,10 +758,10 @@ class TestSampleHistory:
             max_size=40,
         )))
         width = data.draw(st.integers(min_value=1, max_value=times.size + 1))
-        evaluate = metrics._block_evaluator(history, table, times, width, True)
+        evaluate = _block_evaluator(history, table, times, width, True)
         blocks = [evaluate(times[s0 : s0 + width]) for s0 in range(0, times.size, width)]
         flat = [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
-        whole = metrics.sample_history(history, table, times)
+        whole = sample_history(history, table, times)
         expected = searched_sample_history(history, clocks, times)
         for got, single, wanted in zip(flat, whole, expected, strict=True):
             assert got.shape == wanted.shape

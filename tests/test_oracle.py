@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gradsync.engine import ConfigError, RunConfig, TopologySpec, run
+from gradsync.config import ConfigError, RunConfig, TopologySpec
+from gradsync.engine import run
 from gradsync.oracle import compare, oracle_run
 from gradsync.presets import preset
 
@@ -45,10 +46,9 @@ def test_corrupted_trace_locates_first_exceedance():
     trace = run(preset("startup_chain"))
     hist = trace.history[1]
     k = hist.times.size // 2
-    values = hist.values.copy()
-    values[k:] += 1.0
-    history = trace.history[:1] + (replace(hist, values=values),) + trace.history[2:]
-    broken = replace(trace, history=history)
+    values = trace.history.values.copy()
+    values[trace.history.bounds[1] + k : trace.history.bounds[2]] += 1.0
+    broken = replace(trace, history=replace(trace.history, values=values))
     dev = compare(trace, broken, 1e-6)
     assert not dev.passed
     t, node, amount = dev.first_exceedance

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradsync import topology as topo_mod
-from gradsync.engine import TopologySpec
+from gradsync.config import TopologySpec
 from gradsync.topology import (
     TopologyError,
     all_pairs_distances,
