@@ -4,15 +4,15 @@ Between consecutive samples of a Trace (trace.py) every logical clock is
 linear in real time, so skew maxima over the whole run are attained at
 sample points and the reported statistics are exact, not approximations.
 The report and the CSV writer evaluate logical values on the grid from the
-history block by block, each block one flat pass over every node, so
-neither holds a nodes x samples array, and read the hardware clocks from
-one clocks.ClockTable. The minimum rate and the reduced-rate episodes are
-each one pass over the history's columns.
+history in blocks of _EVAL_BLOCK samples, each block one flat pass over
+every node, so neither holds a nodes x samples array, and read the
+hardware clocks from one clocks.ClockTable. The minimum rate and the
+reduced-rate episodes are each one pass over the history's columns.
 
 The pair maxima (per edge, and per hop distance) are not taken over every
-pair at every sample. Per sub-block of samples each node's clock, less the
+pair at every sample. Per block of samples each node's clock, less the
 lowest clock of each sample, has a highest and a lowest value; together
-they bound every pair's skew over the sub-block. A pair is evaluated
+they bound every pair's skew over the block. A pair is evaluated
 exactly only where that bound, plus a rounding slack derived in
 _report_pass, exceeds the running maximum the pair contributes to, so the
 skipped pairs cannot change any reported value and the result is the same
@@ -123,35 +123,28 @@ class SkewReport:
     warmup: float
 
 
-# Samples evaluated from the history at a time, the width of a bound
-# sub-block: each evaluated block is nodes x _EVAL_BLOCK floats (164 kB at
-# n = 80, 2.1 MB at n = 1025), independent of the run's length.
+# Samples evaluated from the history at a time. Each block is nodes x
+# _EVAL_BLOCK floats (164 kB at n = 80, 2.1 MB at n = 1025), independent of
+# the run's length; the report bounds every pair's skew over one block at
+# once, and the CSV writer renders one block's rows at a time.
 _EVAL_BLOCK = 256
-# Columns per bound sub-block: the pass bounds every pair's skew over this
-# many samples at once and evaluates only the pairs whose bound can still
-# raise a reported maximum.
-_BOUND_BLOCK = 256
-# Slack added to each pair bound, in units of eps times the sub-block's
+# Slack added to each pair bound, in units of eps times the block's
 # largest |L|; _report_pass derives it.
 _SLACK_EPS = 8.0
 _EPS = float(np.finfo(float).eps)
-# Samples rendered to CSV at a time. Every row is a Python string, so this
-# block is smaller: 1024 samples of 50 nodes peak at about 23 MB of row
-# text and values (65 MB at 4096), at the same speed.
-_CSV_BLOCK = 1024
 
 
-def _warm_blocks(times: np.ndarray, warmup: float, evaluate):
-    """(sample times, evaluate(sample times)) per block of the samples at or
-    after warmup; times is strictly increasing."""
-    first = int(np.searchsorted(times, warmup, side="left"))
-    for s0 in range(first, times.size, _EVAL_BLOCK):
+def _blocks(times: np.ndarray, evaluate):
+    """(block, evaluate(block)) for the blocks of _EVAL_BLOCK consecutive
+    times, in order."""
+    for s0 in range(0, times.size, _EVAL_BLOCK):
         block = times[s0 : s0 + _EVAL_BLOCK]
         yield block, evaluate(block)
 
 
 def _trace_blocks(trace: Trace, warmup: float):
-    """The trace's warm sample blocks, as _warm_blocks yields them.
+    """The trace's sample blocks at or after warmup, as _blocks yields them,
+    with the logical values of each block.
 
     Raises ConfigError if warmup is not finite or lies past the horizon,
     where no sample would be measured and every skew would read 0.
@@ -161,10 +154,9 @@ def _trace_blocks(trace: Trace, warmup: float):
             [f"warmup {warmup!r} leaves no sample: it must be finite and at most "
              f"the horizon {trace.horizon!r}"]
         )
-    times = trace.sample_times
-    warm = times[int(times.searchsorted(warmup, side="left")) :]
+    warm = trace.sample_times[trace.sample_times.searchsorted(warmup, side="left") :]
     evaluate = _block_evaluator(trace.history, trace.clock_table, warm, _EVAL_BLOCK, False)
-    return _warm_blocks(warm, warmup, lambda block: evaluate(block)[0])
+    return _blocks(warm, lambda block: evaluate(block)[0])
 
 
 _NO_SKEW = GlobalSkew(0.0, (0, 0), 0.0)
@@ -221,16 +213,15 @@ def _report_pass(blocks, topology: Topology) -> tuple[GlobalSkew, dict, dict]:
     one pass over blocks of (sample times, logical values).
 
     Every pair i < j has a running maximum slot: its own for an edge, its
-    hop distance's for any other pair. Each block is cut into sub-blocks of
-    _BOUND_BLOCK columns. With R the lowest started value of a column,
-    up_i = max(L_i - R) and lo_i = min(L_i - R) over the sub-block bound
+    hop distance's for any other pair. With R the lowest started value of a
+    column, up_i = max(L_i - R) and lo_i = min(L_i - R) over a block bound
     every |L_i - L_j| there by b = max(up_i - lo_j, up_j - lo_i), and a pair
     is evaluated exactly, as fmax of abs(fl(L_i - L_j)) over the columns
     where both nodes have started, only if fl(b + s) exceeds its slot's
     running maximum. A skipped pair cannot change a reported value, so the
     result is the all-pairs maximum, bit for bit.
 
-    The slack s = _SLACK_EPS * eps * A, with A the sub-block's largest |L|,
+    The slack s = _SLACK_EPS * eps * A, with A the block's largest |L|,
     covers the rounding. With u = eps / 2, x = L_i >= y = L_j >= r = R in a
     column, all of magnitude at most A: fl(x - r) and fl(y - r) lie in
     [0, 2A(1 + u)] and are each within 2uA of the exact difference, so
@@ -245,8 +236,7 @@ def _report_pass(blocks, topology: Topology) -> tuple[GlobalSkew, dict, dict]:
     Each pending pair is evaluated once, at most n at a time; one evaluated
     without need only adds a term of its slot's all-pairs maximum.
     """
-    n = topology.node_count
-    first, second = np.triu_indices(n, 1)
+    first, second = np.triu_indices(topology.node_count, 1)
     hops = topology.distances[first, second]
     is_edge = hops == 1
     edge_count = int(is_edge.sum())
@@ -257,9 +247,7 @@ def _report_pass(blocks, topology: Topology) -> tuple[GlobalSkew, dict, dict]:
     for times, values in blocks:
         low, high = _column_range(values)
         top = _fold_global(top, times, values, low, high)
-        for c0 in range(0, values.shape[1], _BOUND_BLOCK):
-            cols = slice(c0, c0 + _BOUND_BLOCK)
-            _fold_pairs(best, slot, first, second, values[:, cols], low[cols], high[cols])
+        _fold_pairs(best, slot, first, second, values, low, high)
         del values  # freed before the next block is evaluated
     edges = zip(first[is_edge].tolist(), second[is_edge].tolist(), best[:edge_count])
     per_edge = {(i, j): _measured(v) for i, j, v in edges}
@@ -270,23 +258,22 @@ def _report_pass(blocks, topology: Topology) -> tuple[GlobalSkew, dict, dict]:
     return top, per_edge, profile
 
 
-def _fold_pairs(best, slot, first, second, sub, low, high) -> None:
+def _fold_pairs(best, slot, first, second, values, low, high) -> None:
     """Raise best[slot[p]] to the max skew of every pair p = (first[p],
-    second[p]) over the columns of sub whose bound can exceed it; low and
+    second[p]) over the columns of values whose bound can exceed it; low and
     high are the columns' _column_range. See _report_pass."""
-    offset = sub - low
+    offset = values - low
     up = np.fmax.reduce(offset, axis=1)
     lo = np.fmin.reduce(offset, axis=1)
     del offset  # each temporary is freed or reused before the next is made
-    scale = np.fmax.reduce(np.fmax(np.abs(low), np.abs(high)))
     bound = np.maximum(up[first] - lo[second], up[second] - lo[first])
-    bound += _SLACK_EPS * _EPS * scale
+    bound += _SLACK_EPS * _EPS * np.fmax.reduce(np.fmax(np.abs(low), np.abs(high)))
     pending = np.flatnonzero(bound > best[slot])
     del bound
-    for start in range(0, pending.size, sub.shape[0]):
-        pairs = pending[start : start + sub.shape[0]]
-        skews = sub[first[pairs]]
-        skews -= sub[second[pairs]]
+    for start in range(0, pending.size, values.shape[0]):
+        pairs = pending[start : start + values.shape[0]]
+        skews = values[first[pairs]]
+        skews -= values[second[pairs]]
         np.abs(skews, out=skews)
         np.fmax.at(best, slot[pairs], np.fmax.reduce(skews, axis=1))
 
@@ -457,6 +444,37 @@ def compute_report(trace: Trace, warmup: float = 0.0) -> SkewReport:
     return replace(report, bound_verdicts=bound_checks(report, trace.config))
 
 
+def _within(column: np.ndarray, times: np.ndarray) -> slice:
+    """The rows of the non-decreasing column from times[0] to times[-1]."""
+    return slice(column.searchsorted(times[0]), column.searchsorted(times[-1], side="right"))
+
+
+def _event_kinds(trace: Trace, times: np.ndarray) -> dict:
+    """(time, node) -> its event_kind, at the sample times of one block.
+
+    The block's events and drift breakpoints are the rows of their columns
+    _within its times: both columns are in time order. A key's kinds are
+    joined in order of first occurrence: its events', then drift, then an
+    initiator's start at 0.
+    """
+    kinds: dict[tuple[float, int], dict[str, None]] = {}
+    ev = trace.events
+    columns = (ev.time, ev.src, ev.dst, ev.payload, ev.started)
+    rows = _within(ev.time, times)
+    for t, src, dst, payload, started in _rows(*(column[rows] for column in columns)):
+        if started:
+            kinds.setdefault((t, dst), {})["start"] = None
+        if payload == payload:  # not NaN: the message carried a value
+            kinds.setdefault((t, dst), {})["recv"] = None
+        kinds.setdefault((t, src), {})["send"] = None
+    breaks = trace.clock_table.breaks[1:]
+    for key in product(breaks[_within(breaks, times)].tolist(), range(trace.node_count)):
+        kinds.setdefault(key, {})["drift"] = None
+    for node in trace.config.initiators if times[0] == 0.0 else ():
+        kinds.setdefault((0.0, node), {})["start"] = None
+    return {key: "+".join(names) for key, names in kinds.items()}
+
+
 def trace_csv_text(trace: Trace, out=None) -> str | None:
     """Stable CSV rendering: one row per (sample time, node).
 
@@ -465,40 +483,19 @@ def trace_csv_text(trace: Trace, out=None) -> str | None:
     sample (it has no forward interval). event_kind joins whatever applies
     to that node at that instant: start, recv, send, drift.
 
-    Rows are rendered from the history _CSV_BLOCK samples at a time, with
-    each node's rows searched once for every block. Given
-    a text file out, each block is written to it as soon as it is rendered
-    and None is returned; otherwise the whole text is returned.
+    Rows are rendered from the history one block of _EVAL_BLOCK samples at
+    a time, with the event kinds of that block's instants. Given a text
+    file out, each block is written to it as soon as it is rendered and
+    None is returned; otherwise the whole text is returned.
     """
-    # (time, node) -> its kinds as dict keys, in order of first occurrence
-    kinds: dict[tuple[float, int], dict[str, None]] = {}
-    events = trace.events
-    for t, src, dst, payload, started in _rows(
-        events.time, events.src, events.dst, events.payload, events.started
-    ):
-        if started:
-            kinds.setdefault((t, dst), {})["start"] = None
-        if payload == payload:  # not NaN: the message carried a value
-            kinds.setdefault((t, dst), {})["recv"] = None
-        kinds.setdefault((t, src), {})["send"] = None
-    for key in product(trace.clock_table.breaks[1:].tolist(), range(trace.node_count)):
-        kinds.setdefault(key, {})["drift"] = None
-    for node in trace.config.initiators:
-        kinds.setdefault((0.0, node), {})["start"] = None
-    joined = {key: "+".join(names) for key, names in kinds.items()}
-
     chunks: list[str] = []
     write = chunks.append if out is None else out.write
     write("time,node,logical,rate,alpha,event_kind\n")
-    total = trace.sample_times.size
-    evaluate = _block_evaluator(
-        trace.history, trace.clock_table, trace.sample_times, _CSV_BLOCK, True
-    )
-    for s0 in range(0, total, _CSV_BLOCK):
-        times = trace.sample_times[s0 : s0 + _CSV_BLOCK]
-        logical, alphas, rates = evaluate(times)
-        if s0 + times.size == total:
-            rates[:, -1] = np.nan
+    samples = trace.sample_times
+    evaluate = _block_evaluator(trace.history, trace.clock_table, samples, _EVAL_BLOCK, True)
+    for times, (logical, alphas, rates) in _blocks(samples, evaluate):
+        rates[:, times == trace.horizon] = np.nan  # the final sample has no forward interval
+        joined = _event_kinds(trace, times)
         lines = []
         for t, values, rate_row, alpha_row in zip(
             times.tolist(), logical.T.tolist(), rates.T.tolist(), alphas.T.tolist()

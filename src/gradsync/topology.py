@@ -32,7 +32,8 @@ WORKLOAD_CAP = 10_000_000
 
 # random_geometric compares the points this many rows at a time, so a draw
 # holds (rows, n) distances and not (n, n): a dense draw is refused by its
-# edge count before any n x n array exists.
+# edge count, summed over the row blocks, before any n x n or edge-pair
+# array exists.
 _DISTANCE_ROWS = 256
 
 
@@ -121,12 +122,24 @@ def _bfs(adj) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def _too_dense(n: int, edges: int) -> str | None:
+    """Why a graph of n nodes and `edges` undirected edges is refused, or
+    None: its BFS takes a step per node and directed edge, and over 50 x
+    WORKLOAD_CAP are refused."""
+    steps = n * 2 * edges
+    if steps > 50 * WORKLOAD_CAP:
+        return (
+            f"graph of {n:,} nodes and {edges:,} edges takes {steps:,} BFS steps "
+            f"(nodes x directed edges), over {50 * WORKLOAD_CAP:,}"
+        )
+    return None
+
+
 def _topology(n: int, pairs: np.ndarray) -> Topology:
     """The graph on nodes 0..n-1 whose edges are the rows (u, v) of the
     (m, 2) integer array pairs; a repeated or reversed pair is the same
-    edge. Its BFS takes a step per node and directed edge: over 50 x
-    WORKLOAD_CAP are refused. The checks run in numpy, so a refused graph
-    makes no Python object per edge."""
+    edge. A graph _too_dense is refused. The checks run in numpy, so a
+    refused graph makes no Python object per edge."""
     loop = pairs[:, 0] == pairs[:, 1]
     outside = (pairs < 0) | (pairs >= n)
     faulty = np.flatnonzero(loop | outside.any(axis=1))
@@ -142,12 +155,8 @@ def _topology(n: int, pairs: np.ndarray) -> Topology:
     ranks = ranks.reshape(-1, 2)
     keys = np.sort(ranks.min(axis=1) * nodes.size + ranks.max(axis=1))
     keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique hashes: 50x slower here
-    steps = n * 2 * keys.size
-    if steps > 50 * WORKLOAD_CAP:
-        raise TopologyError(
-            f"graph of {n:,} nodes and {keys.size:,} edges takes {steps:,} BFS steps "
-            f"(nodes x directed edges), over {50 * WORKLOAD_CAP:,}"
-        )
+    if dense := _too_dense(n, keys.size):
+        raise TopologyError(dense)
     if nodes.size < n:
         # a node no edge touches is cut off: name the lowest such node with
         # node 0, or node 1 when it is node 0 itself
@@ -213,10 +222,15 @@ def random_geometric(
     rng = np.random.default_rng([seed, 0x6E0])
     for _ in range(retries):
         pts = rng.random((n, 2))
-        pairs = []
+        pairs, edges = [], 0
         for i in range(0, n, _DISTANCE_ROWS):
             squares = ((pts[i : i + _DISTANCE_ROWS, None, :] - pts) ** 2).sum(axis=2)
-            pairs.append(np.argwhere(np.triu(squares <= radius * radius, 1 + i)) + [i, 0])
+            close = np.triu(squares <= radius * radius, 1 + i)
+            edges += int(np.count_nonzero(close))
+            if not _too_dense(n, edges):  # past the bound only the count goes on
+                pairs.append(np.argwhere(close) + [i, 0])
+        if dense := _too_dense(n, edges):
+            raise TopologyError(dense)
         try:
             return _topology(n, np.concatenate(pairs))
         except _Disconnected:

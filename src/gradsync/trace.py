@@ -277,11 +277,7 @@ def _block_evaluator(history: History, table: ClockTable, times, width: int, fac
     start -= 1
     np.maximum(start, history.bounds[:-1], out=start)
     windows = zip(start, stop)
-
-    def evaluate(block: np.ndarray):
-        return _evaluate_block(history, table, block, *next(windows), factors)
-
-    return evaluate
+    return lambda block: _evaluate_block(history, table, block, *next(windows), factors)
 
 
 def _evaluate_block(history: History, table: ClockTable, ts, start, stop, factors: bool):
@@ -322,7 +318,7 @@ def _evaluate_block(history: History, table: ClockTable, ts, start, stop, factor
     tail = m - at[last]
     np.subtract(at[1:], at[:-1], out=at[:-1])
     at[last] = tail
-    held = at > 0
+    held = np.flatnonzero(at)
     rows, span = rows[held], at[held]
     del at, held
 

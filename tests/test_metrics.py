@@ -557,6 +557,32 @@ def test_random_field_report_peaks_little_above_the_run():
     assert peak - held <= 0.9e6
 
 
+def test_csv_streamed_peak_holds_one_block(tmp_path):
+    # Streaming trace.csv of a 10-node random field (3,303 events, 3,344
+    # samples) to a file peaks at 0.74 MB: one block's rows and the event
+    # kinds of its instants; the bound is about 1.2 times that. With the
+    # (time, node) -> kinds map built for the whole run at once it peaked at
+    # 4.9 MB (5.3 MB at twice the horizon), and at 30.2 MB on the
+    # random_geometric preset, against 3.6 MB now.
+    config = replace(
+        preset("random_geometric"),
+        topology=TopologySpec(kind="random_geometric", n=10, radius=0.6, seed=7),
+        horizon=40.0,
+    )
+    trace = run(config)
+    with open(tmp_path / "trace.csv", "w", encoding="utf-8") as out:
+        trace_csv_text(trace, out)  # leave one-time allocations out of the count
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "trace.csv", "w", encoding="utf-8") as out:
+            trace_csv_text(trace, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.events) > 3000
+    assert peak < 0.9e6
+
+
 def test_dense_sampling_agrees_with_breakpoint_sampling():
     # a dense grid can only reveal skew already visible at sample points,
     # up to the worst-case slope times the grid step
@@ -613,6 +639,29 @@ def test_warmup_excludes_startup():
     assert settled.max_global_skew <= full.max_global_skew
 
 
+# A chain whose sends, starts and drift breakpoints share instants: every
+# edge sends at 1.0, where node 1 starts and a drift piece begins, and the
+# unstarted nodes send before it, so t = 1.0 is the fifth sample.
+SHARED_INSTANTS = RunConfig(
+    topology=TopologySpec(kind="chain", n=4),
+    drift_bound=0.1,
+    max_gap=1.0,
+    skew_threshold=0.5,
+    horizon=6.0,
+    drift_mode="piecewise_random",
+    drift_dwell=1.0,
+    schedule_mode="scripted",
+    scripted_sends={
+        (0, 1): (1.0, 2.0, 3.0, 4.0, 5.0),
+        (1, 0): (0.25, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0),
+        (1, 2): (0.5, 1.0, 2.0, 3.0, 4.0, 5.0),
+        (2, 1): (0.75, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0),
+        (2, 3): (1.0, 2.0, 3.0, 4.0, 5.0),
+        (3, 2): (1.0, 2.0, 3.0, 3.5, 4.0, 5.0),
+    },
+)
+
+
 class TestSerialization:
     def test_csv_shape_and_header(self):
         trace = run(preset("two_node"))
@@ -629,6 +678,31 @@ class TestSerialization:
         text = trace_csv_text(trace)
         assert any("start+recv" in line or "recv+start" in line for line in text.split("\n"))
         assert any(line.endswith("send") for line in text.split("\n"))
+
+    @pytest.mark.parametrize(
+        "config", [preset("wait_chain"), SHARED_INSTANTS], ids=["wait_chain", "shared_instants"]
+    )
+    def test_csv_bytes_do_not_depend_on_the_block_width(self, monkeypatch, config):
+        trace = run(config)
+        texts = []
+        for block in (1, 5, 256):
+            monkeypatch.setattr(metrics, "_EVAL_BLOCK", block)
+            texts.append(trace_csv_text(trace))
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_shared_instants_fall_on_block_edges(self):
+        # At width 5, t = 1.0 ends the first block: every node sends there,
+        # node 1 starts on node 0's message, and a drift piece begins;
+        # t = 4.0, with sends and a drift break, begins the third.
+        trace = run(SHARED_INSTANTS)
+        times = trace.sample_times.tolist()
+        assert (times.index(1.0), times.index(4.0)) == (4, 10)
+        assert trace.start_times.tolist() == [0.0, 1.0, 2.0, 3.0]
+        rows = trace_csv_text(trace).split("\n")
+        assert [r.rsplit(",", 1)[1] for r in rows if r.startswith(("1.0,", "4.0,"))] == [
+            "send+drift", "send+start+recv+drift", "send+drift", "send+drift",
+            "recv+send+drift", "recv+send+drift", "recv+send+drift", "send+recv+drift",
+        ]
 
     def test_summary_round_trips_config(self):
         trace = run(build_wait_chain_scenario(4, 0.1, 1.0, 1.0))
@@ -899,16 +973,15 @@ class TestReportMatchesReference:
             trace, float(trace.sample_times[metrics._EVAL_BLOCK + 7])
         )
 
-    @pytest.mark.parametrize("block", [1, 4, 7])
+    @pytest.mark.parametrize("block", [1, 2, 4, 7])
     def test_unstarted_cells_and_ties_across_blocks(self, monkeypatch, block):
         # The report pass is fed a synthetic dense matrix, one evaluated
         # block at a time, with unstarted cells that no rebase history can
         # produce (a node stopping and restarting). Small integer values make
         # equal spreads and equal extremes common, so tie-breaking is checked
         # within a column and across blocks, and ties with a running maximum
-        # across bound sub-blocks.
+        # across adjacent blocks, each its own pair bound.
         monkeypatch.setattr(metrics, "_EVAL_BLOCK", block)
-        monkeypatch.setattr(metrics, "_BOUND_BLOCK", max(1, block // 2))
         topo = symmetric_run().topology
         rng = np.random.default_rng(5)
         samples = 40
@@ -927,7 +1000,7 @@ class TestReportMatchesReference:
     def test_mixed_magnitudes(self, monkeypatch, block):
         # Clocks near 1e6 next to clocks near 0: subtractions round, and the
         # pair bounds carry rounding of their own.
-        monkeypatch.setattr(metrics, "_BOUND_BLOCK", block)
+        monkeypatch.setattr(metrics, "_EVAL_BLOCK", block)
         topo = symmetric_run().topology
         rng = np.random.default_rng(8)
         logical = rng.uniform(0.0, 1.0, size=(topo.node_count, 300))
@@ -945,7 +1018,8 @@ def assert_pass_matches_reference(logical, topo, warmups):
         return logical[:, np.searchsorted(sample_times, times)]
 
     for warmup in warmups:
-        blocks = metrics._warm_blocks(sample_times, warmup, evaluate)
+        warm = sample_times[np.searchsorted(sample_times, warmup, side="left") :]
+        blocks = metrics._blocks(warm, evaluate)
         top, per_edge, profile = metrics._report_pass(blocks, topo)
         assert top == reference_global_skew(sample_times, logical, warmup)
         expected = reference_max_skew_matrix(sample_times, logical, warmup)
@@ -976,7 +1050,7 @@ def test_slack_decides_pairs_within_ulps_of_their_maximum(monkeypatch, column, r
     r, low, high = column
     unslacked = (high - r) - (low - r)
     assert unslacked < high - low  # without slack the bound would skip it
-    monkeypatch.setattr(metrics, "_BOUND_BLOCK", 1)
+    monkeypatch.setattr(metrics, "_EVAL_BLOCK", 1)
     logical = np.full((4, 4), np.nan)
     # the pair's running maximum ties the unslacked bound exactly, twice ...
     logical[[j, i], 0] = logical[[j, i], 2] = (0.0, unslacked)

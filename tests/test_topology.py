@@ -177,14 +177,43 @@ def test_bfs_steps_over_the_bound_refused(monkeypatch):
 
 def test_random_geometric_over_the_bound_refused_on_its_first_draw(monkeypatch):
     # 30 nodes all within radius 2 have 435 edges, 26,100 steps: every draw
-    # is over the bound, and only disconnection is worth another draw
+    # is over the bound, and only disconnection is worth another draw. The
+    # draw is refused by its count, before _topology gets its edge pairs.
     monkeypatch.setattr(topo_mod, "WORKLOAD_CAP", 100)
-    draws = []
-    build = topo_mod._topology
-    monkeypatch.setattr(topo_mod, "_topology", lambda n, edges: draws.append(n) or build(n, edges))
+    draws, built = [], []
+    default_rng = np.random.default_rng
+
+    class CountedDraws:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def random(self, shape):
+            draws.append(shape)
+            return self.rng.random(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", CountedDraws)
+    monkeypatch.setattr(topo_mod, "_topology", lambda n, edges: built.append(n))
     with pytest.raises(TopologyError, match=r"^graph of 30 nodes and 435 edges takes 26,100 BFS"):
         random_geometric(30, 2.0, seed=1, retries=5)
-    assert draws == [30]
+    assert (draws, built) == ([(30, 2)], [])
+
+
+def test_dense_random_geometric_refused_before_its_edge_pairs():
+    # 4,000 points within radius 0.3 have 1,702,826 edges at seed 0. Counted
+    # one 256-row block of distances at a time, the refusal peaks at 33.9 MB,
+    # the block's point differences and their squares; collecting the (m, 2)
+    # edge pairs first, it peaked at 204.5 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            TopologyError,
+            match=r"^graph of 4,000 nodes and 1,702,826 edges takes 13,622,608,000 BFS steps",
+        ):
+            random_geometric(4000, 0.3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 41e6
 
 
 def test_random_geometric_is_deterministic_and_can_fail():
