@@ -482,6 +482,14 @@ def config_violations(config: RunConfig) -> list[str]:
             f"gap_min must lie in [0, max_gap), got {config.gap_min} "
             f"with max_gap {config.max_gap}"
         )
+    if not config.initiators:
+        v.append("initiators must be nonempty")
+    elif len(set(config.initiators)) != len(config.initiators):
+        v.append(f"duplicate initiators: {config.initiators}")
+    if config.drift_signs is not None and any(s not in (-1, 1) for s in config.drift_signs):
+        v.append(f"drift_signs must be +1 or -1, got {config.drift_signs}")
+    if config.schedule_mode == "scripted" and config.scripted_sends is None:
+        v.append("scripted schedule mode needs scripted_sends")
     return v
 
 

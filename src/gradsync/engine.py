@@ -48,14 +48,14 @@ def validate_config(config: RunConfig) -> list[str]:
     here: every violation names the offending value. It builds the topology
     but no clocks, and a schedule only in scripted mode.
     """
-    violations, _, _ = _validate(config)
-    return violations
+    return _validate(config)[0]
 
 
 def _validate(config: RunConfig):
-    """Violations, and the topology and horizon where the topology builds."""
+    """Violations, the topology and horizon where the topology builds, and
+    the checked schedule of a scripted config, else None."""
     v = config_violations(config)
-    topology = horizon = None
+    topology = horizon = schedule = None
     try:
         topology = config.topology.build(default_seed=max(config.seed, 0))  # < 0 is refused above
     except topo_mod.TopologyError as exc:
@@ -63,46 +63,33 @@ def _validate(config: RunConfig):
     if topology is not None:
         n = topology.node_count
         horizon = default_horizon(config, topology)
-        if not config.initiators:
-            v.append("initiators must be nonempty")
-        else:
-            bad = [i for i in config.initiators if not 0 <= i < n]
-            if bad:
-                v.append(f"initiators out of range: {bad}")
-            if len(set(config.initiators)) != len(config.initiators):
-                v.append(f"duplicate initiators: {config.initiators}")
+        bad = [i for i in config.initiators if not 0 <= i < n]
+        if bad:
+            v.append(f"initiators out of range: {bad}")
         if config.diameter_bound is not None and config.diameter_bound < topology.diameter:
             v.append(
                 f"diameter_bound {config.diameter_bound} is below the "
                 f"topology diameter {topology.diameter}"
             )
-        if config.drift_signs is not None:
-            if len(config.drift_signs) != n:
-                v.append(
-                    f"drift_signs has {len(config.drift_signs)} entries for {n} nodes"
+        if config.drift_signs is not None and len(config.drift_signs) != n:
+            v.append(f"drift_signs has {len(config.drift_signs)} entries for {n} nodes")
+        if config.schedule_mode == "scripted" and config.scripted_sends is not None:
+            try:
+                schedule = generate_schedule(
+                    topology,
+                    config.max_gap,
+                    "scripted",
+                    config.seed,
+                    horizon,
+                    scripted=config.scripted_sends,
                 )
-            elif any(s not in (-1, 1) for s in config.drift_signs):
-                v.append(f"drift_signs must be +1 or -1, got {config.drift_signs}")
-        if config.schedule_mode == "scripted":
-            if config.scripted_sends is None:
-                v.append("scripted schedule mode needs scripted_sends")
-            else:
-                try:
-                    generate_schedule(
-                        topology,
-                        config.max_gap,
-                        "scripted",
-                        config.seed,
-                        horizon,
-                        scripted=config.scripted_sends,
-                    )
-                except ConfigError as exc:
-                    v.extend(exc.violations)
+            except ConfigError as exc:
+                v.extend(exc.violations)
         if not v:
             v.extend(workload_violations(
                 config, len(topology.directed_edges()), topology.node_count, horizon
             ))
-    return v, topology, horizon
+    return v, topology, horizon, schedule
 
 
 @dataclass(frozen=True)
@@ -121,9 +108,18 @@ class Setup:
 
 def resolve(config: RunConfig) -> Setup:
     """Validate and resolve a config; raises ConfigError listing every violation."""
-    violations, topology, horizon = _validate(config)
+    violations, topology, horizon, schedule = _validate(config)
     if violations:
         raise ConfigError(violations)
+    if schedule is None:  # a scripted schedule was generated when checked
+        schedule = generate_schedule(
+            topology,
+            config.max_gap,
+            config.schedule_mode,
+            config.seed,
+            horizon,
+            gap_min=config.gap_min,
+        )
     bound = config.diameter_bound if config.diameter_bound is not None else topology.diameter
     return Setup(
         topology=topology,
@@ -140,15 +136,7 @@ def resolve(config: RunConfig) -> Setup:
             ))
             for i in range(topology.node_count)
         ),
-        schedule=generate_schedule(
-            topology,
-            config.max_gap,
-            config.schedule_mode,
-            config.seed,
-            horizon,
-            gap_min=config.gap_min,
-            scripted=config.scripted_sends,
-        ),
+        schedule=schedule,
     )
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, config_to_dict, is_wait_chain
 from .topology import Topology
-from .trace import Trace, _block_evaluator, _end_rows, _rows
+from .trace import Trace, _end_rows, _grid_blocks, _rows
 
 __all__ = [
     "SkewReport",
@@ -134,17 +134,9 @@ _SLACK_EPS = 8.0
 _EPS = float(np.finfo(float).eps)
 
 
-def _blocks(times: np.ndarray, evaluate):
-    """(block, evaluate(block)) for the blocks of _EVAL_BLOCK consecutive
-    times, in order."""
-    for s0 in range(0, times.size, _EVAL_BLOCK):
-        block = times[s0 : s0 + _EVAL_BLOCK]
-        yield block, evaluate(block)
-
-
 def _trace_blocks(trace: Trace, warmup: float):
-    """The trace's sample blocks at or after warmup, as _blocks yields them,
-    with the logical values of each block.
+    """The trace's sample blocks of _EVAL_BLOCK times at or after warmup,
+    as trace._grid_blocks yields them without the factors and rates.
 
     Raises ConfigError if warmup is not finite or lies past the horizon,
     where no sample would be measured and every skew would read 0.
@@ -155,8 +147,7 @@ def _trace_blocks(trace: Trace, warmup: float):
              f"the horizon {trace.horizon!r}"]
         )
     warm = trace.sample_times[trace.sample_times.searchsorted(warmup, side="left") :]
-    evaluate = _block_evaluator(trace.history, trace.clock_table, warm, _EVAL_BLOCK, False)
-    return _blocks(warm, lambda block: evaluate(block)[0])
+    return _grid_blocks(trace.history, trace.clock_table, warm, _EVAL_BLOCK, False)
 
 
 _NO_SKEW = GlobalSkew(0.0, (0, 0), 0.0)
@@ -197,7 +188,7 @@ def global_skew(trace: Trace, warmup: float = 0.0) -> GlobalSkew:
     earliest sample, and within it to the lowest-numbered extreme nodes.
     """
     best = _NO_SKEW
-    for times, values in _trace_blocks(trace, warmup):
+    for times, (values, _, _) in _trace_blocks(trace, warmup):
         best = _fold_global(best, times, values, *_column_range(values))
         del values  # freed before the next block is evaluated
     return best
@@ -210,7 +201,8 @@ def _measured(value) -> float:
 
 def _report_pass(blocks, topology: Topology) -> tuple[GlobalSkew, dict, dict]:
     """Global skew, per-edge max skews and the max skew per hop distance, in
-    one pass over blocks of (sample times, logical values).
+    one pass over blocks of (sample times, (logical values, _, _)), as
+    _trace_blocks yields them.
 
     Every pair i < j has a running maximum slot: its own for an edge, its
     hop distance's for any other pair. With R the lowest started value of a
@@ -244,7 +236,7 @@ def _report_pass(blocks, topology: Topology) -> tuple[GlobalSkew, dict, dict]:
     slot[is_edge] = np.arange(edge_count)
     best = np.full(edge_count + topology.diameter + 1, -np.inf)
     top = _NO_SKEW
-    for times, values in blocks:
+    for times, (values, _, _) in blocks:
         low, high = _column_range(values)
         top = _fold_global(top, times, values, low, high)
         _fold_pairs(best, slot, first, second, values, low, high)
@@ -491,9 +483,8 @@ def trace_csv_text(trace: Trace, out=None) -> str | None:
     chunks: list[str] = []
     write = chunks.append if out is None else out.write
     write("time,node,logical,rate,alpha,event_kind\n")
-    samples = trace.sample_times
-    evaluate = _block_evaluator(trace.history, trace.clock_table, samples, _EVAL_BLOCK, True)
-    for times, (logical, alphas, rates) in _blocks(samples, evaluate):
+    blocks = _grid_blocks(trace.history, trace.clock_table, trace.sample_times, _EVAL_BLOCK, True)
+    for times, (logical, alphas, rates) in blocks:
         rates[:, times == trace.horizon] = np.nan  # the final sample has no forward interval
         joined = _event_kinds(trace, times)
         lines = []

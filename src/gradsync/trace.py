@@ -8,10 +8,11 @@ samples every logical clock is linear in real time. Its messages are the
 columns of one EventLog.
 
 sample_history evaluates the logical values, factors and rates at any
-times from the history and the hardware clocks' clocks.ClockTable; the
+times from the history and the hardware clocks' clocks.ClockTable. The
 report and the CSV writer (metrics.py) evaluate the grid block by block
-through _block_evaluator, each block one flat pass over every node, so
-neither holds a nodes x samples array.
+through _grid_blocks, the one place that finds each block's rows and cuts
+the blocks, each block one flat pass over every node, so neither holds a
+nodes x samples array.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "EventLog",
-    "NodeHistory",
     "History",
     "sample_history",
 ]
@@ -97,26 +97,17 @@ class EventLog:
             yield TraceEvent(t, t, src, dst, None if payload != payload else payload, started, jump)
 
 
-@dataclass(frozen=True)
-class NodeHistory:
-    """Rebase points of one node: at times[k] the logical clock was values[k],
-    its hardware clock read hardware[k], and it advanced with factor
-    factors[k] afterwards."""
-
-    times: np.ndarray
-    values: np.ndarray
-    factors: np.ndarray
-    hardware: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class History:
-    """Every node's rebase points as four float64 columns, 32 B per point.
-    Node i's points are rows bounds[i]:bounds[i + 1], in processing order,
-    so their times are non-decreasing.
+    """Every node's rebase points as four float64 columns, 32 B per point:
+    at times[k] its logical clock was values[k], its hardware clock read
+    hardware[k], and it advanced with factor factors[k] afterwards. Node
+    i's points are rows bounds[i]:bounds[i + 1], in processing order, so
+    their times are non-decreasing.
 
-    As a sequence it holds one NodeHistory per node, each a view of its
-    node's rows.
+    Indexing or iterating yields one-node Histories, whose columns are views
+    of that node's rows and whose bounds are [0, rows], so what reads a
+    run's history reads one node's too.
     """
 
     times: np.ndarray
@@ -128,7 +119,7 @@ class History:
     def __len__(self) -> int:
         return self.bounds.size - 1
 
-    def __getitem__(self, index: int) -> NodeHistory:
+    def __getitem__(self, index: int) -> History:
         i = range(len(self))[index]  # IndexError past either end
         return self._node(*self.bounds[i : i + 2].tolist())
 
@@ -136,9 +127,10 @@ class History:
         bounds = self.bounds.tolist()
         return map(self._node, bounds[:-1], bounds[1:])
 
-    def _node(self, lo: int, hi: int) -> NodeHistory:
-        return NodeHistory(
-            self.times[lo:hi], self.values[lo:hi], self.factors[lo:hi], self.hardware[lo:hi]
+    def _node(self, lo: int, hi: int) -> History:
+        return History(
+            self.times[lo:hi], self.values[lo:hi], self.factors[lo:hi],
+            self.hardware[lo:hi], np.array([0, hi - lo]),
         )
 
 
@@ -233,9 +225,9 @@ def sample_history(
     the pieces in effect from that time on: at a rebase point or a drift
     breakpoint, the new piece's.
 
-    The times are evaluated as one block of _block_evaluator: flat array
-    work over every node at once, no loop over the nodes but the search
-    for each node's window of rows.
+    The times are evaluated as the one block of _grid_blocks: flat array
+    work over every node at once, no loop over the nodes but the search for
+    each node's window of rows.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or not np.all(ts[1:] >= ts[:-1]):
@@ -244,7 +236,7 @@ def sample_history(
         return _unstarted(len(history), 0, factors)
     if not (ts[0] >= 0.0 and ts[-1] <= table.horizon):
         raise ValueError(f"time outside covered horizon [0, {table.horizon}]")
-    return _block_evaluator(history, table, ts, ts.size, factors)(ts)
+    return next(_grid_blocks(history, table, ts, ts.size, factors))[1]
 
 
 def _unstarted(n: int, m: int, factors: bool):
@@ -253,12 +245,12 @@ def _unstarted(n: int, m: int, factors: bool):
     return logical, logical.copy() if factors else None, logical.copy() if factors else None
 
 
-def _block_evaluator(history: History, table: ClockTable, times, width: int, factors: bool):
-    """A function of the blocks times[k * width : (k + 1) * width] of the
-    non-decreasing times, called once per block in block order, that gives
-    sample_history(history, table, block, factors) for each.
+def _grid_blocks(history: History, table: ClockTable, times, width: int, factors: bool):
+    """(block, sample_history(history, table, block, factors)) for the
+    blocks times[k * width : (k + 1) * width] of the non-decreasing times,
+    in order. Nothing is kept of a block's values once it is yielded.
 
-    The rows each block reads are found here, for every block at once: per
+    The rows each block reads are found first, for every block at once: per
     node, one search of its rows for every block's first and last time. A
     block reads node i's rows from the one in effect at its first time, or
     from the node's first row where none is, up to the first row after its
@@ -276,13 +268,14 @@ def _block_evaluator(history: History, table: ClockTable, times, width: int, fac
     start, stop = found[0::2], found[1::2]
     start -= 1
     np.maximum(start, history.bounds[:-1], out=start)
-    windows = zip(start, stop)
-    return lambda block: _evaluate_block(history, table, block, *next(windows), factors)
+    for s0, first, after in zip(range(0, times.size, width), start, stop):
+        block = times[s0 : s0 + width]
+        yield block, _evaluate_block(history, table, block, first, after, factors)
 
 
 def _evaluate_block(history: History, table: ClockTable, ts, start, stop, factors: bool):
     """sample_history at the times ts, reading node i's rows start[i] up to
-    stop[i], as _block_evaluator finds them.
+    stop[i], as _grid_blocks finds them.
 
     One search of those rows among the times gives where each row takes
     effect, so each row holds over a count of times, and repeat spreads its

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gradsync.trace import History, NodeHistory
+from gradsync.trace import History
 
 acceptance_lines: list[str] = []
 
@@ -14,18 +14,15 @@ def record_acceptance(line: str):
 
 def history_of(nodes) -> History:
     """A History of hand-made rebase points, node by node: each node a
-    NodeHistory, or its times, values, factors and hardware columns in that
-    order, as float64."""
+    one-node History, or its times, values, factors and hardware columns in
+    that order, as float64."""
     nodes = [
-        node if isinstance(node, NodeHistory)
-        else NodeHistory(*(np.asarray(column, dtype=float) for column in node))
+        (node.times, node.values, node.factors, node.hardware) if isinstance(node, History)
+        else tuple(np.asarray(column, dtype=float) for column in node)
         for node in nodes
     ]
-    columns = (
-        np.concatenate([getattr(node, name) for node in nodes])
-        for name in ("times", "values", "factors", "hardware")
-    )
-    sizes = [node.times.size for node in nodes]
+    columns = (np.concatenate(column) for column in zip(*nodes))
+    sizes = [node[0].size for node in nodes]
     return History(*columns, np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))))
 
 

@@ -466,6 +466,20 @@ class TestInputBoundary:
         assert "violation: schedule.gap_min must be finite, got nan\n" in out
         assert "violation: periodic schedule does not read gap_min\n" in out
 
+    def test_config_only_rules_named_where_the_topology_does_not_build(self, tmp_path, capsys):
+        doc = config_to_dict(build_wait_chain_scenario(4, 0.1, 1.0, 1.0))
+        doc["topology"] = {"kind": "chain", "n": 1}
+        doc["initiators"] = []
+        doc["drift"]["signs"] = [1, 2]
+        doc["schedule"]["mode"] = "scripted"
+        assert main(["validate", "--config", write_doc(tmp_path, doc)]) == 2
+        assert capsys.readouterr().out == (
+            "violation: initiators must be nonempty\n"
+            "violation: drift_signs must be +1 or -1, got (1, 2)\n"
+            "violation: scripted schedule mode needs scripted_sends\n"
+            "violation: chain needs n >= 2, got 1\n"
+        )
+
     def test_summary_without_config_refused(self, tmp_path, capsys):
         config = write_doc(tmp_path, {"schema": "gradsync.summary/1", "node_count": 2})
         assert main(["validate", "--config", config]) == 2
@@ -696,6 +710,24 @@ class TestSweep:
         path = self.sweep_spec(tmp_path, values=[4, -2])
         out = tmp_path / "out"
         assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_base_without_initiators_refused_at_every_point_before_any_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        base = config_to_dict(preset("random_geometric"))
+        base["initiators"] = []
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"base": base, "parameter": "seed", "values": [0, 1]}))
+        runs = []
+        monkeypatch.setattr("gradsync.cli.run", runs.append)
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "".join(
+            f"violation: point seed={seed} variant=gradient: initiators must be nonempty\n"
+            for seed in (0, 1)
+        )
+        assert runs == []
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -424,6 +424,22 @@ class TestValidate:
             "duplicate" in p for p in validate_config(self.base(initiators=(0, 0)))
         )
 
+    def test_scripted_schedule_generated_once_per_run(self, monkeypatch):
+        modes, generate = [], engine.generate_schedule
+
+        def counting(*args, **kw):
+            modes.append(args[2])
+            return generate(*args, **kw)
+
+        monkeypatch.setattr(engine, "generate_schedule", counting)
+        run(LOOP_CONFIGS["scripted_unstarted_senders"])
+        assert modes == ["scripted"]
+        for mode in ("periodic", "random_uniform"):
+            assert validate_config(self.base(schedule_mode=mode)) == []
+        assert modes == ["scripted"]  # validating builds no other schedule
+        run(self.base())
+        assert modes == ["scripted", "periodic"]
+
     def test_run_refuses_invalid_config(self):
         with pytest.raises(ConfigError):
             run(self.base(drift_bound=1.5))

@@ -2,7 +2,8 @@
 
 Every import sits at module level, and the imports between the package's
 modules form no cycle: config, schedule and trace sit below engine, and
-the report (metrics) reads traces without reaching back into the engine.
+the report (metrics) reads traces without reaching back into the engine,
+while the trace's block reader sits below the report that calls it.
 """
 
 import ast
@@ -74,3 +75,8 @@ def test_lower_layers_reach_neither_engine_nor_cli(name):
 
 def test_the_engine_does_not_import_the_report():
     assert "metrics" not in reachable("engine")
+
+
+@pytest.mark.parametrize("name", ("config", "schedule", "trace"))
+def test_lower_layers_do_not_reach_the_report(name):
+    assert "metrics" not in reachable(name), sorted(reachable(name))

@@ -33,7 +33,7 @@ from gradsync.metrics import (
 )
 from gradsync.presets import PRESETS, preset
 from gradsync.topology import chain
-from gradsync.trace import History, NodeHistory, Trace, _block_evaluator, sample_history
+from gradsync.trace import History, Trace, _grid_blocks, sample_history
 
 from conftest import history_of
 from test_engine import LOOP_CONFIGS, NO_EVENTS
@@ -237,7 +237,7 @@ def looped_rate_floor(trace):
         points = points[points < trace.horizon]
         if points.size:
             row = ClockTable(breaks, origins[i : i + 1], rates[i : i + 1], horizon)
-            lowest = min(lowest, float(sample_history(history_of([hist]), row, points)[2].min()))
+            lowest = min(lowest, float(sample_history(hist, row, points)[2].min()))
     return lowest if lowest < math.inf else float("nan")
 
 
@@ -350,6 +350,8 @@ class TestHistory:
         nodes = list(history)
         assert len(nodes) == len(history)
         for i, node in enumerate(nodes):
+            assert isinstance(node, History) and len(node) == 1
+            assert node.bounds.tolist() == [0, bounds[i + 1] - bounds[i]]
             for name in ("times", "values", "factors", "hardware"):
                 column = getattr(history, name)
                 assert column.dtype == np.float64
@@ -794,7 +796,7 @@ def unstarted_node_history():
     its History and clocks."""
     trace = run(EVALUATOR_CONFIGS["grid"])
     nodes, clocks = list(trace.history), list(trace.clocks)
-    never = NodeHistory(*(np.empty(0) for _ in range(4)))
+    never = (np.empty(0),) * 4
     for at in (3, len(nodes) + 1):
         nodes.insert(at, never)
         clocks.insert(at, clocks[0])
@@ -832,9 +834,10 @@ class TestSampleHistory:
             max_size=40,
         )))
         width = data.draw(st.integers(min_value=1, max_value=times.size + 1))
-        evaluate = _block_evaluator(history, table, times, width, True)
-        blocks = [evaluate(times[s0 : s0 + width]) for s0 in range(0, times.size, width)]
-        flat = [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
+        blocks = list(_grid_blocks(history, table, times, width, True))
+        cuts = [times[s0 : s0 + width] for s0 in range(0, times.size, width)]
+        assert [block.tolist() for block, _ in blocks] == [cut.tolist() for cut in cuts]
+        flat = [np.concatenate(parts, axis=1) for parts in zip(*(values for _, values in blocks))]
         whole = sample_history(history, table, times)
         expected = searched_sample_history(history, clocks, times)
         for got, single, wanted in zip(flat, whole, expected, strict=True):
@@ -1013,13 +1016,13 @@ def assert_pass_matches_reference(logical, topo, warmups):
     """The report pass on a synthetic matrix, one column every 0.5, gives
     the reference kernels' global skew, per-edge maxima and profile."""
     sample_times = np.arange(logical.shape[1]) * 0.5
-
-    def evaluate(times):
-        return logical[:, np.searchsorted(sample_times, times)]
-
+    width = metrics._EVAL_BLOCK
     for warmup in warmups:
-        warm = sample_times[np.searchsorted(sample_times, warmup, side="left") :]
-        blocks = metrics._blocks(warm, evaluate)
+        first = np.searchsorted(sample_times, warmup, side="left")
+        blocks = (
+            (sample_times[s0 : s0 + width], (logical[:, s0 : s0 + width], None, None))
+            for s0 in range(first, sample_times.size, width)
+        )
         top, per_edge, profile = metrics._report_pass(blocks, topo)
         assert top == reference_global_skew(sample_times, logical, warmup)
         expected = reference_max_skew_matrix(sample_times, logical, warmup)
